@@ -70,7 +70,6 @@ def _load(args) -> Workspace:
 
 def _metric_value(ws: Workspace, metric: str, a: PointSet, b: PointSet) -> float:
     if metric == "subset":
-        certify_penalty(ws)
         return subset_distance(ws.space, ws.penalty, a, b).value
     return comparison_distance(_COMPARISONS[metric], ws.space, a, b)
 
@@ -114,6 +113,8 @@ def cmd_matrix(args) -> int:
     ws = _load(args)
     names = ws.set_names()
     n = len(names)
+    if n and args.metric == "subset":
+        certify_penalty(ws)
     values = [[0.0] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
@@ -140,20 +141,16 @@ def _sample_sets(ws: Workspace, rng: np.random.Generator, count: int):
 
 
 def _penalty_sample(ws: Workspace, rng: np.random.Generator, samples: int):
-    elems = [x for ps in ws.sets.values() for x in ps]
     if isinstance(ws.penalty, TablePenalty):
         # A table only defines M on its own domain; check exactly that.
         return list(ws.penalty.domain())
     count = ws.space.element_count()
     if count is not None and count <= 64:
         return list(ws.space.elements())
+    # validate_penalty drops repeats, keeping first-seen order.
+    elems = [x for ps in ws.sets.values() for x in ps]
     elems.extend(ws.space.sample_element(rng) for _ in range(samples))
-    seen, unique = set(), []
-    for x in elems:
-        if x not in seen:
-            seen.add(x)
-            unique.append(x)
-    return unique
+    return elems
 
 
 def cmd_validate(args) -> int:

@@ -46,15 +46,10 @@ def _check_pair(space: Space, a: PointSet, b: PointSet):
             raise DomainError("comparison distances are undefined for empty sets")
 
 
-def _distance_matrix(space: Space, a: PointSet, b: PointSet) -> np.ndarray:
-    return np.array([[space.distance(x, y) for y in b.elements]
-                     for x in a.elements], dtype=float)
-
-
 def hausdorff_distance(space: Space, a: PointSet, b: PointSet) -> float:
     """max of the two directed distances max_x min_y d(x, y)."""
     _check_pair(space, a, b)
-    d = _distance_matrix(space, a, b)
+    d = space.pairwise(a.elements, b.elements)
     return float(max(d.min(axis=1).max(), d.min(axis=0).max()))
 
 
@@ -62,7 +57,7 @@ def sum_min_distance(space: Space, a: PointSet, b: PointSet) -> float:
     """Half the sum, over both sides, of each element's distance to the
     nearest element of the other set."""
     _check_pair(space, a, b)
-    d = _distance_matrix(space, a, b)
+    d = space.pairwise(a.elements, b.elements)
     return float(0.5 * (d.min(axis=1).sum() + d.min(axis=0).sum()))
 
 
@@ -100,7 +95,7 @@ def _min_over_functions(space, a, b, fair: bool) -> float:
     if fair:
         counts = np.stack([(funcs == t).sum(axis=1) for t in range(m)], axis=1)
         funcs = funcs[counts.max(axis=1) - counts.min(axis=1) <= 1]
-    d = _distance_matrix(space, big, small)
+    d = space.pairwise(big.elements, small.elements)
     costs = np.zeros(len(funcs))
     for i in range(n):
         costs += d[i, funcs[:, i]]
@@ -130,7 +125,7 @@ def link_distance(space: Space, a: PointSet, b: PointSet) -> float:
     """
     _check_pair(space, a, b)
     big, small = _oriented(a, b)
-    d = _distance_matrix(space, big, small)
+    d = space.pairwise(big.elements, small.elements)
     row_cheap = d.min(axis=1)
     col_cheap = d.min(axis=0)
     base = float(row_cheap.sum() + col_cheap.sum())
@@ -155,7 +150,7 @@ def brute_force_link_distance(space: Space, a: PointSet, b: PointSet) -> float:
         raise SizeLimitError(
             f"relation enumeration limited to |a|*|b| <= {LINK_ORACLE_MAX_PAIRS}, "
             f"got {na * nb}")
-    d = _distance_matrix(space, a, b).ravel()
+    d = space.pairwise(a.elements, b.elements).ravel()
     masks = np.arange(1, 1 << (na * nb), dtype=np.int64)
     bits = ((masks[:, None] >> np.arange(na * nb)) & 1).astype(np.int8)
     grid = bits.reshape(-1, na, nb)

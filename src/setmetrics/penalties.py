@@ -242,10 +242,9 @@ def validate_penalty(space: Space, penalty: PenaltyFunction,
 
     values = {x: penalty.value(x) for x in elements}
     violations = []
-    for x in elements:
+    for x, row in zip(elements, space.pairwise(elements, elements).tolist()):
         mx = values[x]
-        for other in elements:
-            dxo = space.distance(x, other)
+        for other, dxo in zip(elements, row):
             if dxo > mx + REAL_TOL:
                 violations.append(PenaltyViolation(
                     "distance_bound", x, other, dxo, mx, values[other]))

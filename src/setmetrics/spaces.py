@@ -11,8 +11,9 @@ from a point to anywhere in the space):
 
 Elements are plain values: a word is a ``str``, a point is a tuple of
 floats, a vertex is an ``int``.  Spaces validate and canonicalize
-elements on entry.  All operations are pure; instances are immutable
-after construction and safe to share across threads.
+elements on entry; ``pairwise`` takes canonical elements and skips that.
+All operations are pure; instances are immutable after construction and
+safe to share across threads.
 """
 
 from __future__ import annotations
@@ -53,6 +54,16 @@ class Space:
 
     def _distance(self, a: Element, b: Element) -> float:
         raise NotImplementedError
+
+    def pairwise(self, xs: Sequence[Element], ys: Sequence[Element]) -> np.ndarray:
+        """float64 matrix of d(x, y), shape ``(len(xs), len(ys))``.
+
+        ``xs`` and ``ys`` must already be canonical elements (as held by a
+        PointSet); they are not validated.  Each entry is the same float
+        that ``distance`` returns for the pair.
+        """
+        return np.array([[self._distance(x, y) for y in ys] for x in xs],
+                        dtype=float).reshape(len(xs), len(ys))
 
     def eccentricity(self, x) -> float:
         """Largest distance from ``x`` to any element of the space."""

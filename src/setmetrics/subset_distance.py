@@ -247,8 +247,7 @@ def _solve_oriented(space, penalty, source: PointSet, target: PointSet):
     src, tgt = source.elements, target.elements
     penalties = [penalty.value(y) for y in tgt]
     cost = np.empty((nt, nt))
-    for i, x in enumerate(src):
-        cost[i] = [space.distance(x, y) for y in tgt]
+    cost[:ns] = space.pairwise(src, tgt)
     cost[ns:] = penalties
     perm = solve_assignment(cost).permutation
 
@@ -289,8 +288,7 @@ def brute_force_subset_distance(space: Space, penalty: PenaltyFunction,
         return SubsetDistanceResult(0.0, Injection((), 0.0), a, b, empty, from_a)
 
     src, tgt = source.elements, target.elements
-    dist = np.array([[space.distance(x, y) for y in tgt] for x in src],
-                    dtype=float).reshape(ns, nt)
+    dist = space.pairwise(src, tgt)
     penalties = np.array([penalty.value(y) for y in tgt])
     injections = np.array(list(itertools.permutations(range(nt), ns)),
                           dtype=np.intp)

@@ -80,3 +80,17 @@ def literal_sequence_distance(words_a, words_b, length):
         if best is None or cost < best:
             best = cost
     return float(best)
+
+
+def count_validations(monkeypatch, space):
+    """Wrap ``validate_element`` of the space's class with a counter; return
+    the list the wrapper appends every validated value to."""
+    calls = []
+    original = type(space).validate_element
+
+    def counted(self, x):
+        calls.append(x)
+        return original(self, x)
+
+    monkeypatch.setattr(type(space), "validate_element", counted)
+    return calls

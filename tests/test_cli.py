@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+import setmetrics.workspace
 from setmetrics.cli import main
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -165,6 +166,35 @@ def test_matrix_reals_print_nine_significant_digits(capsys):
             assert "," not in cell  # '.' decimal separator only
             mantissa = cell.replace("-", "").replace(".", "").lstrip("0")
             assert len(mantissa) <= 9
+
+
+def test_matrix_certifies_a_table_penalty_once(tmp_path, monkeypatch, capsys):
+    calls = []
+    original = setmetrics.workspace.validate_penalty
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(setmetrics.workspace, "validate_penalty", counted)
+    doc = {"space": {"kind": "graph",
+                     "edges": [[0, 1, 1.0], [1, 2, 1.0], [2, 3, 1.0]]},
+           "m_function": {"variant": "table",
+                          "entries": [[0, 3], [1, 2], [2, 2], [3, 3]]},
+           "sets": {"A": [0], "B": [1, 2], "C": [3], "D": []}}
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps(doc))
+    code, out, _ = run(capsys, "matrix", str(path))
+    assert code == 0
+    assert out.splitlines()[0] == ",A,B,C,D"
+    assert len(calls) == 1
+
+    # With no sets there is nothing to compute, so nothing is certified.
+    doc["sets"] = {}
+    path.write_text(json.dumps(doc))
+    code, out, _ = run(capsys, "matrix", str(path))
+    assert (code, out) == (0, ",\n")
+    assert len(calls) == 1
 
 
 def test_validate_good_fixtures_exit_zero(capsys):

@@ -11,7 +11,7 @@ from setmetrics import (ConstantPenalty, DiameterPenalty, EccentricityPenalty,
                         parse_penalty_spec, penalty_from_json,
                         validate_penalty)
 
-from generators import space_family, unit_interval
+from generators import count_validations, space_family, unit_interval
 
 
 def test_constant_penalty_at_or_above_diameter():
@@ -80,6 +80,17 @@ def test_validate_penalty_needs_a_sample():
     ui = unit_interval()
     with pytest.raises(ValidationError):
         validate_penalty(ui, DiameterPenalty(ui), [])
+
+
+def test_validate_penalty_validates_each_sample_element_at_most_twice(
+        monkeypatch):
+    rng = np.random.default_rng(43)
+    for space in space_family(rng):
+        sample = list({space.sample_element(rng) for _ in range(8)})
+        for penalty in (EccentricityPenalty(space), DiameterPenalty(space)):
+            calls = count_validations(monkeypatch, space)
+            assert validate_penalty(space, penalty, sample).ok
+            assert len(calls) <= 2 * len(sample)
 
 
 def test_table_penalty_lookup_and_domain():

@@ -9,7 +9,7 @@ import pytest
 from setmetrics import (EuclideanBoxSpace, GraphSpace, HammingSpace,
                         ParseError, ValidationError, space_from_json)
 
-from generators import random_connected_graph
+from generators import random_connected_graph, space_family
 
 
 def test_hamming_distance_counts_differing_positions():
@@ -205,3 +205,15 @@ def test_finite_enumeration_and_counts():
     assert box.element_count() is None
     with pytest.raises(ValidationError):
         list(box.elements())
+
+
+def test_pairwise_equals_distance_exactly_on_every_kind():
+    rng = np.random.default_rng(29)
+    for space in space_family(rng):
+        xs = [space.sample_element(rng) for _ in range(5)]
+        ys = [space.sample_element(rng) for _ in range(4)]
+        m = space.pairwise(xs, ys)
+        assert m.dtype == np.float64 and m.shape == (5, 4)
+        assert m.tolist() == [[space.distance(x, y) for y in ys] for x in xs]
+        assert space.pairwise([], ys).shape == (0, 4)
+        assert space.pairwise(xs, []).shape == (5, 0)

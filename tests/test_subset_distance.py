@@ -5,14 +5,16 @@ import pytest
 
 from setmetrics import (ConstantPenalty, DiameterPenalty,
                         DuplicateElementsWarning, EccentricityPenalty,
-                        HammingSpace, Injection, PointSet, SizeLimitError,
-                        ValidationError, brute_force_subset_distance,
+                        GraphSpace, HammingSpace, Injection, PointSet,
+                        SizeLimitError, ValidationError,
+                        brute_force_subset_distance,
                         chi_distance, sequence_subset_distance,
                         subset_distance, symmetric_difference_reduce,
                         validate_injection)
 
-from generators import (literal_sequence_distance, random_penalty,
-                        random_point_set, space_family, unit_interval)
+from generators import (count_validations, literal_sequence_distance,
+                        random_penalty, random_point_set, space_family,
+                        unit_interval, unit_square)
 
 
 def hamming3():
@@ -291,3 +293,21 @@ def test_sequence_distance_matches_literal_reference():
             continue
         got = sequence_subset_distance(alphabet, length, a, b)
         assert got == literal_sequence_distance(a, b, length)
+
+
+def test_prebuilt_point_sets_are_not_validated_again(monkeypatch):
+    rng = np.random.default_rng(61)
+    path = GraphSpace([(v, v + 1, 1.0) for v in range(11)])
+    dna = HammingSpace("ACGT", 8)
+    box = unit_square()
+    cases = [(path, PointSet(path, range(5)), PointSet(path, range(6, 12)))]
+    cases += [(space, random_point_set(space, rng, 5, 5),
+               random_point_set(space, rng, 6, 6)) for space in (dna, box)]
+    for space, a, b in cases:
+        penalty = EccentricityPenalty(space)
+        calls = count_validations(monkeypatch, space)
+        subset_distance(space, penalty, a, b)
+        assert len(calls) <= len(a) + len(b)
+        del calls[:]
+        brute_force_subset_distance(space, penalty, a, b)
+        assert len(calls) <= len(a) + len(b)
