@@ -22,7 +22,7 @@ import numpy as np
 from .assignment import solve_assignment
 from .errors import DomainError, SizeLimitError, ValidationError
 from .spaces import Space
-from .subset_distance import PointSet
+from .subset_distance import PointSet, orient
 
 #: Cap on max(|a|, |b|) for the surjection enumerators (7^7 functions).
 SURJECTION_MAX_SET = 7
@@ -61,14 +61,6 @@ def sum_min_distance(space: Space, a: PointSet, b: PointSet) -> float:
     return float(0.5 * (d.min(axis=1).sum() + d.min(axis=0).sum()))
 
 
-def _oriented(a: PointSet, b: PointSet):
-    # Larger set first; ties broken on canonical element order so both
-    # argument orders run the identical enumeration.
-    if (len(a), a.elements) >= (len(b), b.elements):
-        return a, b
-    return b, a
-
-
 def _surjections(n: int, m: int) -> np.ndarray:
     """All functions {0..n-1} -> {0..m-1} that hit every target, as an
     (count, n) array.  Requires n >= m >= 1."""
@@ -85,7 +77,7 @@ def _surjections(n: int, m: int) -> np.ndarray:
 
 def _min_over_functions(space, a, b, fair: bool) -> float:
     _check_pair(space, a, b)
-    big, small = _oriented(a, b)
+    small, big, _ = orient(a, b)
     n, m = len(big), len(small)
     if n > SURJECTION_MAX_SET:
         raise SizeLimitError(
@@ -124,7 +116,7 @@ def link_distance(space: Space, a: PointSet, b: PointSet) -> float:
     double coverage exactly where pairing is worth it.
     """
     _check_pair(space, a, b)
-    big, small = _oriented(a, b)
+    small, big, _ = orient(a, b)
     d = space.pairwise(big.elements, small.elements)
     row_cheap = d.min(axis=1)
     col_cheap = d.min(axis=0)

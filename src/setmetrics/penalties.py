@@ -28,7 +28,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .errors import ParseError, ValidationError
 from .spaces import (Element, REAL_TOL, Space, element_from_json,
-                     element_to_json)
+                     element_to_json, finite_real)
 
 
 class PenaltyFunction:
@@ -140,8 +140,8 @@ class TablePenalty(PenaltyFunction):
         table = {}
         for element, value in items:
             key = space.validate_element(element)
-            v = float(value)
-            if not math.isfinite(v) or v < 0:
+            v = finite_real(value, f"table penalty for {key!r}")
+            if v < 0:
                 raise ValidationError(
                     f"table penalty for {key!r} must be finite and >= 0, got {v}")
             if key in table and table[key] != v:
@@ -160,16 +160,14 @@ class TablePenalty(PenaltyFunction):
 
     def domain(self) -> tuple:
         """Elements the table defines a value for, in canonical order."""
-        return tuple(sorted(self.table, key=self.space.sort_key))
+        return tuple(sorted(self.table))
 
     def to_json(self) -> dict:
-        entries = [[element_to_json(k), v] for k, v in sorted(
-            self.table.items(), key=lambda kv: self.space.sort_key(kv[0]))]
+        entries = [[element_to_json(k), v] for k, v in sorted(self.table.items())]
         return {"variant": self.variant, "entries": entries}
 
     def _key(self) -> tuple:
-        return (self.variant, tuple(sorted(self.table.items(),
-                                           key=lambda kv: self.space.sort_key(kv[0]))))
+        return (self.variant, tuple(sorted(self.table.items())))
 
 
 @dataclass(frozen=True)
@@ -269,12 +267,11 @@ def penalty_from_json(space: Space, obj: dict) -> PenaltyFunction:
         _penalty_keys(obj, {"variant", "value"})
         if "value" not in obj:
             raise ParseError("constant penalty descriptor needs 'value'")
-        value = obj["value"]
-        if isinstance(value, bool) or not isinstance(value, (int, float)) \
-                or not math.isfinite(value):
-            raise ParseError(f"constant penalty value must be a finite number, "
-                             f"got {value!r}")
-        return ConstantPenalty(space, float(value))
+        try:
+            value = finite_real(obj["value"], "constant penalty value")
+        except ValidationError as exc:
+            raise ParseError(str(exc)) from None
+        return ConstantPenalty(space, value)
     if variant == "diameter":
         _penalty_keys(obj, {"variant"})
         return DiameterPenalty(space)

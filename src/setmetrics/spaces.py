@@ -11,7 +11,10 @@ from a point to anywhere in the space):
 
 Elements are plain values: a word is a ``str``, a point is a tuple of
 floats, a vertex is an ``int``.  Spaces validate and canonicalize
-elements on entry; ``pairwise`` takes canonical elements and skips that.
+elements on entry.  Each space writes its metric once, as the numpy
+kernel ``pairwise`` over canonical elements (not validated again);
+``distance`` returns its entry for one pair, so every path reads the
+same floats.
 All operations are pure; instances are immutable after construction and
 safe to share across threads.
 """
@@ -20,6 +23,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
@@ -31,6 +35,25 @@ Element = Union[str, tuple, int]
 
 #: Absolute tolerance for all real-valued comparisons in validity checks.
 REAL_TOL = 1e-9
+
+
+def finite_real(value, what: str) -> float:
+    """``value`` as a float if it is a finite real number (numpy scalars
+    included; bools, strings and None are not); ValidationError otherwise."""
+    # float and int come first: they skip the slower abstract-class check.
+    if isinstance(value, bool) or not isinstance(value, (float, int, numbers.Real)) \
+            or not math.isfinite(value):
+        raise ValidationError(f"{what} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _entries(item, message: str, size: Optional[int] = None) -> tuple:
+    """``item`` as a tuple (of ``size`` entries, when given); ValidationError
+    with ``message`` otherwise."""
+    if isinstance(item, str) or not isinstance(item, Sequence) \
+            or (size is not None and len(item) != size):
+        raise ValidationError(message)
+    return tuple(item)
 
 
 class Space:
@@ -49,29 +72,21 @@ class Space:
         raise NotImplementedError
 
     def distance(self, a, b) -> float:
-        """Metric distance between two elements of the space."""
-        return self._distance(self.validate_element(a), self.validate_element(b))
-
-    def _distance(self, a: Element, b: Element) -> float:
-        raise NotImplementedError
+        """Metric distance between two elements: their ``pairwise`` entry."""
+        return float(self.pairwise([self.validate_element(a)],
+                                   [self.validate_element(b)])[0, 0])
 
     def pairwise(self, xs: Sequence[Element], ys: Sequence[Element]) -> np.ndarray:
-        """float64 matrix of d(x, y), shape ``(len(xs), len(ys))``.
-
-        ``xs`` and ``ys`` must already be canonical elements (as held by a
-        PointSet); they are not validated.  Each entry is the same float
-        that ``distance`` returns for the pair.
+        """float64 matrix of d(x, y), shape ``(len(xs), len(ys))``: the
+        space's one distance kernel.  ``xs`` and ``ys`` must already be
+        canonical (as held by a PointSet) and are not validated; each entry
+        depends only on its own pair, not on the shape of the matrix.
         """
-        return np.array([[self._distance(x, y) for y in ys] for x in xs],
-                        dtype=float).reshape(len(xs), len(ys))
+        raise NotImplementedError
 
     def eccentricity(self, x) -> float:
         """Largest distance from ``x`` to any element of the space."""
         raise NotImplementedError
-
-    def sort_key(self, x: Element):
-        """Total-order key used for canonical iteration of point sets."""
-        return x
 
     def sample_element(self, rng: np.random.Generator) -> Element:
         """Draw a uniform-ish random element (used by checks and the CLI)."""
@@ -135,8 +150,11 @@ class HammingSpace(Space):
                 f"word {x!r} uses symbols {sorted(bad)} outside alphabet {self.alphabet!r}")
         return x
 
-    def _distance(self, a: str, b: str) -> float:
-        return float(sum(1 for u, v in zip(a, b) if u != v))
+    def pairwise(self, xs: Sequence[str], ys: Sequence[str]) -> np.ndarray:
+        # Count mismatched code points; utf-32 keeps any alphabet exact.
+        p, q = (np.frombuffer("".join(words).encode("utf-32-le"), dtype="<u4")
+                .reshape(len(words), self.length) for words in (xs, ys))
+        return (p[:, None, :] != q[None, :, :]).sum(axis=2, dtype=float)
 
     def eccentricity(self, x) -> float:
         self.validate_element(x)
@@ -168,10 +186,11 @@ class EuclideanBoxSpace(Space):
 
     def __init__(self, bounds: Sequence[Sequence[float]]):
         cleaned = []
-        for i, pair in enumerate(bounds):
-            lo, hi = (float(v) for v in pair)
-            if not (math.isfinite(lo) and math.isfinite(hi)):
-                raise ValidationError(f"bounds for coordinate {i} must be finite")
+        for i, pair in enumerate(_entries(
+                bounds, "box bounds must be a list of [low, high] pairs")):
+            what = f"bounds for coordinate {i}"
+            lo, hi = (finite_real(v, what) for v in _entries(
+                pair, f"{what} must be a [low, high] pair", 2))
             if lo > hi:
                 raise ValidationError(
                     f"bounds for coordinate {i} are inverted: [{lo}, {hi}]")
@@ -194,17 +213,22 @@ class EuclideanBoxSpace(Space):
                 f"point has {len(x)} coordinates, space requires {self.dimension}")
         point = []
         for i, (value, (lo, hi)) in enumerate(zip(x, self.bounds)):
-            v = float(value)
-            if not math.isfinite(v):
-                raise ValidationError(f"coordinate {i} is not finite")
+            v = finite_real(value, f"coordinate {i}")
             if v < lo - REAL_TOL or v > hi + REAL_TOL:
                 raise ValidationError(
                     f"coordinate {i} = {v} outside bounds [{lo}, {hi}]")
             point.append(min(max(v, lo), hi))
         return tuple(point)
 
-    def _distance(self, a: tuple, b: tuple) -> float:
-        return math.dist(a, b)
+    def pairwise(self, xs: Sequence[tuple], ys: Sequence[tuple]) -> np.ndarray:
+        # Squares summed one coordinate at a time, in a fixed order: within
+        # a few ulp of math.dist, and the same float whatever the shape.
+        p, q = (np.array(v, dtype=float).reshape(len(v), self.dimension)
+                for v in (xs, ys))
+        squares = np.zeros((len(xs), len(ys)))
+        for k in range(self.dimension):
+            squares += (p[:, k, None] - q[None, :, k]) ** 2
+        return np.sqrt(squares)
 
     def eccentricity(self, x) -> float:
         p = self.validate_element(x)
@@ -238,10 +262,8 @@ class GraphSpace(Space):
                  vertex_count: Optional[int] = None):
         cleaned = []
         max_id = -1
-        for e in edges:
-            if len(e) != 3:
-                raise ValidationError(f"edge {e!r} must be [u, v, weight]")
-            u, v, w = e
+        for e in _entries(edges, "graph edges must be a list of [u, v, weight]"):
+            u, v, w = _entries(e, f"edge {e!r} must be [u, v, weight]", 3)
             if isinstance(u, bool) or isinstance(v, bool) \
                     or not isinstance(u, int) or not isinstance(v, int):
                 raise ValidationError(f"edge {e!r} endpoints must be integers")
@@ -249,8 +271,8 @@ class GraphSpace(Space):
                 raise ValidationError(f"edge {e!r} has a negative vertex id")
             if u == v:
                 raise ValidationError(f"edge {e!r} is a self-loop")
-            w = float(w)
-            if not math.isfinite(w) or w <= 0:
+            w = finite_real(w, f"edge ({u}, {v}) weight")
+            if w <= 0:
                 raise ValidationError(
                     f"edge ({u}, {v}) weight must be positive and finite, got {w}")
             cleaned.append((min(u, v), max(u, v), w))
@@ -290,8 +312,9 @@ class GraphSpace(Space):
                 f"vertex {x} outside range 0..{self.vertex_count - 1}")
         return x
 
-    def _distance(self, a: int, b: int) -> float:
-        return float(self._dist[a, b])
+    def pairwise(self, xs: Sequence[int], ys: Sequence[int]) -> np.ndarray:
+        return self._dist[np.ix_(np.array(xs, dtype=np.intp),
+                                 np.array(ys, dtype=np.intp))]
 
     def eccentricity(self, x) -> float:
         v = self.validate_element(x)

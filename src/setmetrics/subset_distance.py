@@ -44,15 +44,15 @@ class PointSet:
     """An immutable finite set of elements of one space, canonically ordered.
 
     Construction validates every element, canonicalizes it, removes
-    duplicates (with a :class:`DuplicateElementsWarning`) and sorts by the
-    space's total order, so iteration is deterministic.
+    duplicates (with a :class:`DuplicateElementsWarning`) and sorts them in
+    their natural order, so iteration is deterministic.
     """
 
     __slots__ = ("space", "elements", "_members")
 
     def __init__(self, space: Space, items: Iterable = ()):
         canonical = [space.validate_element(x) for x in items]
-        unique = sorted(set(canonical), key=space.sort_key)
+        unique = sorted(set(canonical))
         if len(unique) != len(canonical):
             warnings.warn(DuplicateElementsWarning(
                 f"dropped {len(canonical) - len(unique)} duplicate element(s)"),
@@ -174,7 +174,15 @@ def validate_injection(a: PointSet, b: PointSet, chi: ChiLike) -> tuple:
     if len(pairs) != len(a):
         raise ValidationError(
             f"injection covers {len(pairs)} of {len(a)} source elements")
-    return tuple(sorted(pairs, key=lambda p: a.space.sort_key(p[0])))
+    return tuple(sorted(pairs))
+
+
+def orient(a: PointSet, b: PointSet):
+    """``(smaller, larger, smaller_is_a)``, ties broken on element order, so
+    both argument orders of a symmetric computation run identically."""
+    if (len(a), a.elements) <= (len(b), b.elements):
+        return a, b, True
+    return b, a, False
 
 
 def _check_bound(space: Space, penalty: PenaltyFunction, *sets: PointSet):
@@ -230,17 +238,13 @@ def subset_distance(space: Space, penalty: PenaltyFunction, a: PointSet,
     common = a.intersection(b)
     reduced_a = a.difference(b)
     reduced_b = b.difference(a)
-    if (len(reduced_a), reduced_a.elements) <= (len(reduced_b), reduced_b.elements):
-        source, target, from_a = reduced_a, reduced_b, True
-    else:
-        source, target, from_a = reduced_b, reduced_a, False
-
-    value, pairs = _solve_oriented(space, penalty, source, target)
+    source, target, from_a = orient(reduced_a, reduced_b)
+    value, pairs = _solve_reduced(space, penalty, source, target)
     return SubsetDistanceResult(value, Injection(pairs, value),
                                 reduced_a, reduced_b, common, from_a)
 
 
-def _solve_oriented(space, penalty, source: PointSet, target: PointSet):
+def _solve_reduced(space, penalty, source: PointSet, target: PointSet):
     ns, nt = len(source), len(target)
     if nt == 0:
         return 0.0, ()
@@ -278,10 +282,7 @@ def brute_force_subset_distance(space: Space, penalty: PenaltyFunction,
         raise SizeLimitError(
             f"brute force limited to sets of size {BRUTE_FORCE_MAX_SET}, "
             f"got {len(a)} and {len(b)}")
-    if (len(a), a.elements) <= (len(b), b.elements):
-        source, target, from_a = a, b, True
-    else:
-        source, target, from_a = b, a, False
+    source, target, from_a = orient(a, b)
     ns, nt = len(source), len(target)
     empty = PointSet._from_canonical(space, ())
     if nt == 0:

@@ -86,6 +86,37 @@ def test_dist_malformed_json(tmp_path, capsys):
     assert "line 1" in err
 
 
+BOX = '{"kind": "euclidean_box", "bounds": [[0, 1], [0, 1]]}'
+MALFORMED_NUMBERS = {
+    "box bound is a string": '{"space": {"kind": "euclidean_box", '
+                             '"bounds": [[0, "x"]]}, "sets": {}}',
+    "box bound pair is short": '{"space": {"kind": "euclidean_box", '
+                               '"bounds": [[0]]}, "sets": {}}',
+    "box coordinate is null": '{"space": %s, "sets": {"A": [[null, 0.5]]}}' % BOX,
+    "box coordinates are a string and a bool":
+        '{"space": %s, "sets": {"A": [["0.5", true]]}}' % BOX,
+    "graph weight is a string": '{"space": {"kind": "graph", '
+                                '"edges": [[0, 1, "x"]]}, "sets": {}}',
+    "graph edge is a number": '{"space": {"kind": "graph", "edges": [5]}, '
+                              '"sets": {}}',
+    "table value is a string": '{"space": %s, "m_function": {"variant": "table", '
+                               '"entries": [[[0, 0], "abc"]]}, "sets": {}}' % BOX,
+    "table value is null": '{"space": %s, "m_function": {"variant": "table", '
+                           '"entries": [[[0, 0], null]]}, "sets": {}}' % BOX,
+}
+
+
+@pytest.mark.parametrize("doc", MALFORMED_NUMBERS.values(), ids=MALFORMED_NUMBERS)
+def test_matrix_malformed_numbers_are_parse_errors(tmp_path, capsys, doc):
+    path = tmp_path / "bad.json"
+    path.write_text(doc)
+    code, out, err = run(capsys, "matrix", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
 def test_dist_bad_table_penalty_fails_validation(capsys):
     code, _, err = run(capsys, "dist", fx("bad_mtable.json"), "P", "Q")
     assert code == 1

@@ -209,11 +209,60 @@ def test_finite_enumeration_and_counts():
 
 def test_pairwise_equals_distance_exactly_on_every_kind():
     rng = np.random.default_rng(29)
-    for space in space_family(rng):
+    spaces = space_family(rng) + [
+        HammingSpace("αβγ𝔸", 6),  # multi-byte and non-BMP symbols
+        EuclideanBoxSpace([(0.0, 1.0)] * 9),
+        EuclideanBoxSpace([(-3.0, 2.0)] * 20),
+    ]
+    for space in spaces:
         xs = [space.sample_element(rng) for _ in range(5)]
         ys = [space.sample_element(rng) for _ in range(4)]
         m = space.pairwise(xs, ys)
         assert m.dtype == np.float64 and m.shape == (5, 4)
         assert m.tolist() == [[space.distance(x, y) for y in ys] for x in xs]
+        # each entry is independent of the matrix it is computed in
+        assert m.tolist() == [[space.pairwise([x], [y])[0, 0] for y in ys]
+                              for x in xs]
         assert space.pairwise([], ys).shape == (0, 4)
         assert space.pairwise(xs, []).shape == (5, 0)
+        assert space.pairwise([], []).shape == (0, 0)
+
+
+def test_hamming_pairwise_equals_a_literal_count_on_any_alphabet():
+    rng = np.random.default_rng(37)
+    for alphabet in ("01", "ACGT", "αβ𝔸"):
+        hs = HammingSpace(alphabet, 5)
+        xs = [hs.sample_element(rng) for _ in range(12)]
+        assert hs.pairwise(xs, xs).tolist() == [
+            [float(sum(u != v for u, v in zip(x, y))) for y in xs] for x in xs]
+
+
+def test_euclidean_pairwise_stays_within_a_few_ulp_of_math_dist():
+    rng = np.random.default_rng(31)
+    for dimension in (1, 3, 9, 20):
+        box = EuclideanBoxSpace([(-1.0, 2.0)] * dimension)
+        xs = [box.sample_element(rng) for _ in range(20)]
+        m = box.pairwise(xs, xs)
+        assert (m == m.T).all() and (np.diag(m) == 0.0).all()
+        for x, row in zip(xs, m):
+            for y, d in zip(xs, row):
+                assert abs(d - math.dist(x, y)) <= 4 * math.ulp(math.dist(x, y))
+
+
+def test_real_inputs_accept_numpy_scalars_and_reject_non_numbers():
+    box = EuclideanBoxSpace([(np.int64(0), np.float32(1.0)), (0, 1)])
+    assert box.validate_element((np.float32(0.5), np.int64(1))) == (0.5, 1.0)
+    assert GraphSpace([(0, 1, np.float64(2.0))]).distance(0, 1) == 2.0
+    for bad in (True, np.bool_(True), "0.5", None, float("nan"), float("inf")):
+        with pytest.raises(ValidationError):
+            box.validate_element((bad, 0.5))
+        with pytest.raises(ValidationError):
+            EuclideanBoxSpace([(0.0, bad)])
+        with pytest.raises(ValidationError):
+            GraphSpace([(0, 1, bad)])
+    for bad_bounds in ([(0.0,)], [(0.0, 1.0, 2.0)], ["01"], [0.0], 5):
+        with pytest.raises(ValidationError):
+            EuclideanBoxSpace(bad_bounds)
+    for bad_edges in ([5], [(0, 1)], ["011"], 5):
+        with pytest.raises(ValidationError):
+            GraphSpace(bad_edges)
