@@ -1,10 +1,15 @@
-"""Exact minimum-cost assignment on square nonnegative cost matrices.
+"""Exact minimum-cost injections of rows into columns.
 
-The solver is a shortest-augmenting-path method with dual potentials
-(Jonker-Volgenant style), O(n^3) overall: one Dijkstra-like search per
-row, with the column scan vectorized through numpy.  A factorial-time
-enumerator is provided as an independent oracle for small instances.
-Both are deterministic: a fixed input always yields the same assignment.
+``solve_injection`` matches every row of an s x t nonnegative cost matrix
+(s <= t) to a distinct column at minimum total cost; the t - s columns
+left over are simply unused.  It is a shortest-augmenting-path method
+with dual potentials (Jonker-Volgenant style): one Dijkstra-like search
+per row, with the column scan vectorized through numpy, so a search
+costs O(t) per row of its tree and the whole solve O(s^2 t) at worst.
+``solve_assignment`` is its square special case, returning a
+permutation.  A factorial-time enumerator is provided as an independent
+oracle for small square instances.  All three are deterministic: a fixed
+input always yields the same answer.
 """
 
 from __future__ import annotations
@@ -33,16 +38,32 @@ class Assignment:
             raise ValidationError("assignment is not a permutation")
 
 
-def _as_cost_array(cost_matrix) -> np.ndarray:
+def _as_cost_array(cost_matrix, square: bool = True) -> np.ndarray:
     c = np.asarray(cost_matrix, dtype=float)
-    if c.ndim != 2 or c.shape[0] != c.shape[1] or c.shape[0] == 0:
+    shape_ok = c.ndim == 2 and c.size > 0
+    if square and not (shape_ok and c.shape[0] == c.shape[1]):
         raise ValidationError(
             f"cost matrix must be square and non-empty, got shape {c.shape}")
+    if not (shape_ok and c.shape[0] <= c.shape[1]):
+        raise ValidationError(
+            "cost matrix must be non-empty and its rows must not exceed "
+            f"its columns, got shape {c.shape}")
     if not np.isfinite(c).all():
         raise ValidationError("cost matrix entries must be finite")
     if (c < 0).any():
         raise ValidationError("cost matrix entries must be nonnegative")
     return c
+
+
+def solve_injection(cost_matrix) -> tuple:
+    """Return ``(columns, total)`` for a minimum-total-cost injection of
+    the rows into the columns: row i goes to column ``columns[i]``.
+
+    Accepts anything convertible to an s x t numpy array of finite
+    nonnegative reals with 1 <= s <= t.  Any optimal injection may be
+    returned when the optimum is not unique.
+    """
+    return _shortest_augmenting_paths(_as_cost_array(cost_matrix, square=False))
 
 
 def solve_assignment(cost_matrix) -> Assignment:
@@ -52,24 +73,29 @@ def solve_assignment(cost_matrix) -> Assignment:
     nonnegative reals.  Any optimal permutation may be returned when the
     optimum is not unique.
     """
-    c = _as_cost_array(cost_matrix)
-    n = c.shape[0]
+    return Assignment(*_shortest_augmenting_paths(_as_cost_array(cost_matrix)))
 
-    u = np.zeros(n)                             # row potentials
-    v = np.zeros(n)                             # column potentials
-    col_of_row = np.full(n, -1, dtype=np.intp)
-    row_of_col = np.full(n, -1, dtype=np.intp)
+
+def _shortest_augmenting_paths(c: np.ndarray) -> tuple:
+    """Core of both solvers, on a validated s x t matrix with s <= t: row
+    potentials of size s, column potentials and scratch of size t."""
+    s, t = c.shape
+
+    u = np.zeros(s)                             # row potentials
+    v = np.zeros(t)                             # column potentials
+    col_of_row = np.full(s, -1, dtype=np.intp)
+    row_of_col = np.full(t, -1, dtype=np.intp)
 
     # scratch buffers reused across augmentations
-    dist = np.empty(n)          # tentative path costs; +inf once a column is final
-    final_dist = np.empty(n)    # frozen path cost of finalized columns
-    reduced = np.empty(n)
-    better = np.empty(n, dtype=bool)
-    final = np.empty(n, dtype=bool)
-    open_cols = np.empty(n, dtype=bool)
-    parent_row = np.empty(n, dtype=np.intp)
+    dist = np.empty(t)          # tentative path costs; +inf once a column is final
+    final_dist = np.empty(t)    # frozen path cost of finalized columns
+    reduced = np.empty(t)
+    better = np.empty(t, dtype=bool)
+    final = np.empty(t, dtype=bool)
+    open_cols = np.empty(t, dtype=bool)
+    parent_row = np.empty(t, dtype=np.intp)
 
-    for start_row in range(n):
+    for start_row in range(s):
         dist.fill(np.inf)
         final_dist.fill(np.inf)
         final.fill(False)
@@ -116,8 +142,8 @@ def solve_assignment(cost_matrix) -> Assignment:
             if i == start_row:
                 break
 
-    total = float(c[np.arange(n), col_of_row].sum())
-    return Assignment(tuple(int(x) for x in col_of_row), total)
+    total = float(c[np.arange(s), col_of_row].sum())
+    return tuple(int(x) for x in col_of_row), total
 
 
 def brute_force_assignment(cost_matrix) -> Assignment:

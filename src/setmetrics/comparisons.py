@@ -19,7 +19,9 @@ import itertools
 
 import numpy as np
 
-from .assignment import solve_assignment
+from .assignment import solve_injection
+# Unused here; bound so that perfbench/tracing.py can wrap it by name.
+from .assignment import solve_assignment  # noqa: F401
 from .errors import DomainError, SizeLimitError, ValidationError
 from .spaces import Space
 from .subset_distance import PointSet, orient
@@ -113,7 +115,11 @@ def link_distance(space: Space, a: PointSet, b: PointSet) -> float:
     This is a minimum-weight edge cover of the complete bipartite graph:
     each element grabs its cheapest counterpart, then a matching over the
     (truncated) reduced costs min(d - cheap_row - cheap_col, 0) undoes
-    double coverage exactly where pairing is worth it.
+    double coverage exactly where pairing is worth it.  The matching is
+    solved as an injection of the smaller side into the larger: reduced
+    costs are <= 0, so sending every small element to a distinct big
+    element never costs more than leaving it unmatched, and the optimum
+    over injections equals the optimum over all matchings.
     """
     _check_pair(space, a, b)
     small, big, _ = orient(a, b)
@@ -123,13 +129,11 @@ def link_distance(space: Space, a: PointSet, b: PointSet) -> float:
     base = float(row_cheap.sum() + col_cheap.sum())
 
     reduced = np.minimum(d - row_cheap[:, None] - col_cheap[None, :], 0.0)
-    n = max(d.shape)
-    padded = np.zeros((n, n))
-    padded[:d.shape[0], :d.shape[1]] = reduced
-    # The assignment solver wants nonnegative entries; shifting every
-    # entry by a constant moves the optimum value by n * shift only.
-    shift = float(-padded.min())
-    correction = solve_assignment(padded + shift).total_cost - n * shift
+    # The solver wants nonnegative entries; shifting every entry by a
+    # constant moves the optimum value by len(small) * shift only.
+    shift = float(-reduced.min())
+    _, total = solve_injection(reduced.T + shift)
+    correction = total - len(small) * shift
     return float(base + correction)
 
 

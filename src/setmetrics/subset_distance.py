@@ -11,8 +11,10 @@ out:
 With an admissible penalty (see :mod:`setmetrics.penalties`) this is a
 metric on the finite subsets of the space.  Shared elements can always be
 matched to themselves by some optimal injection, so both sets are first
-reduced by their intersection; the remaining minimization is a square
-assignment problem whose padding rows carry the penalties.
+reduced by their intersection.  Charging every target its penalty up
+front and crediting it back when it is matched turns the remaining
+minimization into a rectangular injection problem, |smaller| x |larger|,
+on the costs d(x, y) - M(y).
 
 A direct enumerator over all injections, with no reduction step, serves
 as the oracle.
@@ -27,7 +29,9 @@ from typing import Iterable, Mapping, Union
 
 import numpy as np
 
-from .assignment import solve_assignment
+from .assignment import solve_injection
+# Unused here; bound so that perfbench/tracing.py can wrap it by name.
+from .assignment import solve_assignment  # noqa: F401
 from .errors import SizeLimitError, ValidationError
 from .penalties import ConstantPenalty, PenaltyFunction
 from .spaces import Element, HammingSpace, Space
@@ -224,13 +228,12 @@ def symmetric_difference_reduce(a: PointSet, b: PointSet):
 
 def subset_distance(space: Space, penalty: PenaltyFunction, a: PointSet,
                     b: PointSet) -> SubsetDistanceResult:
-    """Exact subset distance via one square assignment solve.
+    """Exact subset distance via one rectangular injection solve.
 
-    After reducing by the intersection, a |larger| x |larger| cost matrix
-    is assembled: row i of a real source element holds its distances to
-    the target elements, and each of the remaining padding rows holds the
-    targets' penalties, so a padding assignment marks its column's element
-    as unmatched.  Symmetric in (a, b); the orientation of the solve is
+    After reducing by the intersection, the cost of an injection chi is
+    sum M(y) over all targets plus sum d(x, chi(x)) - M(chi(x)) over the
+    sources, so one |smaller| x |larger| matrix of d(x, y) - M(y) is
+    solved.  Symmetric in (a, b); the orientation of the solve is
     canonical (smaller side first, ties broken on element order), so both
     argument orders run the identical computation.
     """
@@ -246,23 +249,25 @@ def subset_distance(space: Space, penalty: PenaltyFunction, a: PointSet,
 
 def _solve_reduced(space, penalty, source: PointSet, target: PointSet):
     ns, nt = len(source), len(target)
-    if nt == 0:
-        return 0.0, ()
     src, tgt = source.elements, target.elements
     penalties = [penalty.value(y) for y in tgt]
-    cost = np.empty((nt, nt))
-    cost[:ns] = space.pairwise(src, tgt)
-    cost[ns:] = penalties
-    perm = solve_assignment(cost).permutation
+    dist = space.pairwise(src, tgt)
+    cols = ()
+    if ns:
+        # Admissibility gives d(x, y) <= M(y), so the costs are <= 0; one
+        # constant shift makes them nonnegative without moving the optimum,
+        # as every injection has exactly ns terms.
+        cost = dist - np.array(penalties)
+        cols, _ = solve_injection(cost - cost.min())
 
     # Re-sum in canonical order (matched pairs by source, penalties by
     # target) so the reported value matches a chi_distance evaluation of
     # the witness term for term.
-    pairs = tuple((src[i], tgt[perm[i]]) for i in range(ns))
-    matched_cols = set(perm[:ns])
+    pairs = tuple((src[i], tgt[cols[i]]) for i in range(ns))
+    matched_cols = set(cols)
     value = 0.0
     for i in range(ns):
-        value += cost[i, perm[i]]
+        value += dist[i, cols[i]]
     for j in range(nt):
         if j not in matched_cols:
             value += penalties[j]

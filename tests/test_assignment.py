@@ -1,5 +1,6 @@
-"""Square assignment solver against brute force and scipy."""
+"""Assignment and injection solvers against brute force and scipy."""
 
+import itertools
 import time
 
 import numpy as np
@@ -8,6 +9,7 @@ from scipy.optimize import linear_sum_assignment
 
 from setmetrics import (Assignment, ValidationError, SizeLimitError,
                         brute_force_assignment, solve_assignment)
+from setmetrics.assignment import solve_injection
 
 
 def test_single_entry():
@@ -100,3 +102,69 @@ def test_brute_force_deterministic_tie_break():
 def test_assignment_record_checks_permutation():
     with pytest.raises(ValidationError):
         Assignment((0, 0, 1), 1.0)
+
+
+def scipy_injection_total(c):
+    rows, cols = linear_sum_assignment(c)
+    return float(c[rows, cols].sum())
+
+
+def assert_is_injection(c, cols, total):
+    s, t = c.shape
+    assert len(cols) == s and len(set(cols)) == s
+    assert all(0 <= j < t for j in cols)
+    assert total == float(c[np.arange(s), list(cols)].sum())
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (1, 9), (3, 8), (7, 7), (20, 150),
+                                   (60, 61), (100, 100)])
+def test_injection_matches_scipy_on_reals_and_tie_heavy_integers(shape):
+    rng = np.random.default_rng(sum(shape))
+    for trial in range(6):
+        if trial % 2:
+            c = rng.integers(0, 3, size=shape).astype(float)
+        else:
+            c = rng.uniform(0.0, 10.0, size=shape)
+        cols, total = solve_injection(c)
+        assert_is_injection(c, cols, total)
+        if trial % 2:
+            assert total == scipy_injection_total(c)
+        else:
+            assert total == pytest.approx(scipy_injection_total(c), abs=1e-9)
+
+
+def test_injection_matches_enumeration_of_all_injections():
+    rng = np.random.default_rng(43)
+    for trial in range(300):
+        t = int(rng.integers(1, 8))
+        s = int(rng.integers(1, t + 1))
+        if trial % 2:
+            c = rng.integers(0, 4, size=(s, t)).astype(float)
+        else:
+            c = rng.uniform(0.0, 5.0, size=(s, t))
+        best = min(sum(c[i, j] for i, j in enumerate(chi))
+                   for chi in itertools.permutations(range(t), s))
+        cols, total = solve_injection(c)
+        assert_is_injection(c, cols, total)
+        if trial % 2:
+            assert total == best
+        else:
+            assert total == pytest.approx(best, abs=1e-9)
+
+
+def test_injection_is_deterministic():
+    rng = np.random.default_rng(47)
+    for c in (rng.integers(0, 2, size=(12, 40)).astype(float),
+              rng.uniform(0.0, 1.0, size=(12, 40)), np.ones((5, 9))):
+        assert solve_injection(c) == solve_injection(c.copy())
+
+
+def test_injection_rejects_bad_matrices():
+    with pytest.raises(ValidationError, match="rows must not exceed"):
+        solve_injection([[1.0], [2.0]])
+    for empty in ([], [[]], np.zeros((0, 3))):
+        with pytest.raises(ValidationError):
+            solve_injection(empty)
+    for bad in (-1.0, float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValidationError):
+            solve_injection([[0.0, bad]])

@@ -1,7 +1,10 @@
 """The injection-based subset distance and its brute-force oracle."""
 
+import time
+
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
 from setmetrics import (ConstantPenalty, DiameterPenalty,
                         DuplicateElementsWarning, EccentricityPenalty,
@@ -310,3 +313,56 @@ def test_prebuilt_point_sets_are_not_validated_again(monkeypatch):
         del calls[:]
         brute_force_subset_distance(space, penalty, a, b)
         assert len(calls) <= len(a) + len(b)
+
+
+def distinct_words(space, rng, n):
+    words = set()
+    while len(words) < n:
+        words.add(space.sample_element(rng))
+    return PointSet(space, words)
+
+
+def test_lopsided_hamming_matches_rectangular_reference_within_budget():
+    rng = np.random.default_rng(71)
+    dna = HammingSpace("ACGT", 12)
+    pen = ConstantPenalty(dna, 12.0)
+    small = distinct_words(dna, rng, 5)
+    big = distinct_words(dna, rng, 1000)
+    start = time.perf_counter()
+    result = subset_distance(dna, pen, small, big)
+    elapsed = time.perf_counter() - start
+    # reference: scipy on the unreduced 5 x 1000 matrix of d(x, y) - M(y),
+    # with the Hamming distances counted independently of the package
+    codes_a = np.array([list(w) for w in small])
+    codes_b = np.array([list(w) for w in big])
+    d = (codes_a[:, None, :] != codes_b[None, :, :]).sum(axis=2) - 12.0
+    rows, cols = linear_sum_assignment(d)
+    assert result.value == 12.0 * len(big) + float(d[rows, cols].sum())
+    assert elapsed < 1.0
+
+
+def test_lopsided_symmetry_is_bit_exact():
+    rng = np.random.default_rng(73)
+    for space in (unit_square(), HammingSpace("ACGT", 6)):
+        pen = EccentricityPenalty(space)
+        small = random_point_set(space, rng, 3, 3)
+        big = random_point_set(space, rng, 200, 200)
+        forward = subset_distance(space, pen, small, big)
+        backward = subset_distance(space, pen, big, small)
+        assert forward.value == backward.value
+        assert forward.witness == backward.witness
+
+
+def test_empty_smaller_side_pays_every_penalty():
+    rng = np.random.default_rng(79)
+    for space in (unit_square(), HammingSpace("ACGT", 6)):
+        pen = EccentricityPenalty(space)
+        empty = PointSet(space, [])
+        big = random_point_set(space, rng, 300, 300)
+        expected = 0.0
+        for y in big:
+            expected += pen.value(y)
+        for a, b in ((empty, big), (big, empty)):
+            result = subset_distance(space, pen, a, b)
+            assert result.value == expected
+            assert result.witness.pairs == ()
