@@ -18,6 +18,10 @@ by construction:
 plus an experimentation-only ``table`` variant that carries explicit
 per-element values and must be vetted with :func:`validate_penalty`
 before use.
+
+Each variant has one kernel, ``values``, over canonical elements (as held
+by a PointSet, not validated again); ``value`` validates one element and
+gives the same float.
 """
 
 from __future__ import annotations
@@ -25,6 +29,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
+
+import numpy as np
 
 from .errors import ParseError, ValidationError
 from .spaces import (Element, REAL_TOL, Space, element_from_json,
@@ -46,6 +52,12 @@ class PenaltyFunction:
         """Penalty charged when ``x`` is left unmatched."""
         raise NotImplementedError
 
+    def values(self, ys: Sequence[Element]) -> np.ndarray:
+        """float64 vector of M(y), shape ``(len(ys),)``, each entry the
+        float ``value`` returns.  ``ys`` must already be canonical and are
+        not validated."""
+        raise NotImplementedError
+
     def to_json(self) -> dict:
         raise NotImplementedError
 
@@ -53,9 +65,9 @@ class PenaltyFunction:
         raise NotImplementedError
 
     def __eq__(self, other) -> bool:
-        return (isinstance(other, PenaltyFunction)
-                and self._key() == other._key()
-                and self.space == other.space)
+        return self is other or (isinstance(other, PenaltyFunction)
+                                 and self._key() == other._key()
+                                 and self.space == other.space)
 
     def __hash__(self) -> int:
         return hash((self._key(), self.space))
@@ -84,6 +96,9 @@ class ConstantPenalty(PenaltyFunction):
         self.space.validate_element(x)
         return self.constant
 
+    def values(self, ys: Sequence[Element]) -> np.ndarray:
+        return np.full(len(ys), self.constant)
+
     def to_json(self) -> dict:
         return {"variant": self.variant, "value": self.constant}
 
@@ -100,6 +115,9 @@ class DiameterPenalty(PenaltyFunction):
         self.space.validate_element(x)
         return self.space.diameter
 
+    def values(self, ys: Sequence[Element]) -> np.ndarray:
+        return np.full(len(ys), self.space.diameter)
+
     def to_json(self) -> dict:
         return {"variant": self.variant}
 
@@ -114,6 +132,9 @@ class EccentricityPenalty(PenaltyFunction):
 
     def value(self, x) -> float:
         return self.space.eccentricity(x)
+
+    def values(self, ys: Sequence[Element]) -> np.ndarray:
+        return self.space.eccentricities(ys)
 
     def to_json(self) -> dict:
         return {"variant": self.variant}
@@ -152,11 +173,14 @@ class TablePenalty(PenaltyFunction):
         self.table = table
 
     def value(self, x) -> float:
-        key = self.space.validate_element(x)
+        return float(self.values([self.space.validate_element(x)])[0])
+
+    def values(self, ys: Sequence[Element]) -> np.ndarray:
         try:
-            return self.table[key]
-        except KeyError:
-            raise ValidationError(f"no table entry for element {key!r}") from None
+            return np.array([self.table[y] for y in ys], dtype=float)
+        except KeyError as missing:
+            raise ValidationError(
+                f"no table entry for element {missing.args[0]!r}") from None
 
     def domain(self) -> tuple:
         """Elements the table defines a value for, in canonical order."""
@@ -238,19 +262,18 @@ def validate_penalty(space: Space, penalty: PenaltyFunction,
     if not elements:
         raise ValidationError("admissibility check needs a non-empty sample")
 
-    values = {x: penalty.value(x) for x in elements}
+    values = penalty.values(elements).tolist()
     violations = []
-    for x, row in zip(elements, space.pairwise(elements, elements).tolist()):
-        mx = values[x]
-        for other, dxo in zip(elements, row):
+    for x, mx, row in zip(elements, values,
+                          space.pairwise(elements, elements).tolist()):
+        for other, mo, dxo in zip(elements, values, row):
             if dxo > mx + REAL_TOL:
                 violations.append(PenaltyViolation(
-                    "distance_bound", x, other, dxo, mx, values[other]))
-            if mx > dxo + values[other] + REAL_TOL:
+                    "distance_bound", x, other, dxo, mx, mo))
+            if mx > dxo + mo + REAL_TOL:
                 violations.append(PenaltyViolation(
-                    "growth_bound", x, other, dxo, mx, values[other]))
-    return PenaltyValidityReport(tuple(violations),
-                                 min(values.values()), len(elements))
+                    "growth_bound", x, other, dxo, mx, mo))
+    return PenaltyValidityReport(tuple(violations), min(values), len(elements))
 
 
 def penalty_from_json(space: Space, obj: dict) -> PenaltyFunction:

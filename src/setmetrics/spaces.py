@@ -14,7 +14,8 @@ floats, a vertex is an ``int``.  Spaces validate and canonicalize
 elements on entry.  Each space writes its metric once, as the numpy
 kernel ``pairwise`` over canonical elements (not validated again);
 ``distance`` returns its entry for one pair, so every path reads the
-same floats.
+same floats.  Eccentricity follows the same pattern: the kernel
+``eccentricities`` over canonical elements, read by ``eccentricity``.
 All operations are pure; instances are immutable after construction and
 safe to share across threads.
 """
@@ -85,7 +86,15 @@ class Space:
         raise NotImplementedError
 
     def eccentricity(self, x) -> float:
-        """Largest distance from ``x`` to any element of the space."""
+        """Largest distance from ``x`` to any element of the space: its
+        ``eccentricities`` entry."""
+        return float(self.eccentricities([self.validate_element(x)])[0])
+
+    def eccentricities(self, xs: Sequence[Element]) -> np.ndarray:
+        """float64 vector of eccentricities, shape ``(len(xs),)``: the
+        space's one eccentricity kernel.  ``xs`` must already be canonical
+        and are not validated; each entry depends only on its own element.
+        """
         raise NotImplementedError
 
     def sample_element(self, rng: np.random.Generator) -> Element:
@@ -107,7 +116,8 @@ class Space:
         raise NotImplementedError
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Space) and self._key() == other._key()
+        return self is other or (isinstance(other, Space)
+                                 and self._key() == other._key())
 
     def __hash__(self) -> int:
         return hash(self._key())
@@ -156,10 +166,9 @@ class HammingSpace(Space):
                 .reshape(len(words), self.length) for words in (xs, ys))
         return (p[:, None, :] != q[None, :, :]).sum(axis=2, dtype=float)
 
-    def eccentricity(self, x) -> float:
-        self.validate_element(x)
+    def eccentricities(self, xs: Sequence[str]) -> np.ndarray:
         # With >= 2 symbols a word differing in every coordinate exists.
-        return self.diameter
+        return np.full(len(xs), self.diameter)
 
     def sample_element(self, rng) -> str:
         picks = rng.integers(0, len(self.alphabet), size=self.length)
@@ -230,12 +239,15 @@ class EuclideanBoxSpace(Space):
             squares += (p[:, k, None] - q[None, :, k]) ** 2
         return np.sqrt(squares)
 
-    def eccentricity(self, x) -> float:
-        p = self.validate_element(x)
+    def eccentricities(self, xs: Sequence[tuple]) -> np.ndarray:
         # The squared distance to a corner separates per coordinate, so the
-        # farthest corner takes the farther bound in each coordinate.
-        return math.sqrt(sum(max(v - lo, hi - v) ** 2
-                             for v, (lo, hi) in zip(p, self.bounds)))
+        # farthest corner takes the farther bound in each coordinate; the
+        # squares are added in a fixed order, as in ``pairwise``.
+        p = np.array(xs, dtype=float).reshape(len(xs), self.dimension)
+        squares = np.zeros(len(xs))
+        for k, (lo, hi) in enumerate(self.bounds):
+            squares += np.maximum(p[:, k] - lo, hi - p[:, k]) ** 2
+        return np.sqrt(squares)
 
     def sample_element(self, rng: np.random.Generator) -> tuple:
         return tuple(float(rng.uniform(lo, hi)) for lo, hi in self.bounds)
@@ -253,7 +265,8 @@ class GraphSpace(Space):
     Vertices are integers 0..n-1.  Edges are undirected with strictly
     positive finite weights; zero-weight edges would collapse distinct
     vertices to distance 0 and are rejected.  All-pairs distances are
-    precomputed with Floyd-Warshall at construction.
+    precomputed with Floyd-Warshall at construction, and with them each
+    vertex's eccentricity and the diameter.
     """
 
     kind = "graph"
@@ -299,10 +312,13 @@ class GraphSpace(Space):
                 "graph is not connected; shortest-path distances are unbounded")
         self._dist = dm
         self._dist.setflags(write=False)
+        self._ecc = dm.max(axis=1)
+        self._ecc.setflags(write=False)
+        self._diameter = float(self._ecc.max())
 
     @property
     def diameter(self) -> float:
-        return float(self._dist.max())
+        return self._diameter
 
     def validate_element(self, x) -> int:
         if isinstance(x, bool) or not isinstance(x, int):
@@ -316,9 +332,8 @@ class GraphSpace(Space):
         return self._dist[np.ix_(np.array(xs, dtype=np.intp),
                                  np.array(ys, dtype=np.intp))]
 
-    def eccentricity(self, x) -> float:
-        v = self.validate_element(x)
-        return float(self._dist[v].max())
+    def eccentricities(self, xs: Sequence[int]) -> np.ndarray:
+        return self._ecc[np.array(xs, dtype=np.intp)]
 
     def sample_element(self, rng: np.random.Generator) -> int:
         return int(rng.integers(self.vertex_count))

@@ -39,6 +39,9 @@ from .spaces import Element, HammingSpace, Space
 #: Largest set size accepted by the injection enumerator (7!/1! injections).
 BRUTE_FORCE_MAX_SET = 7
 
+#: Witness pairs per pairwise call in chi_distance.
+_CHI_BLOCK = 64
+
 
 class DuplicateElementsWarning(UserWarning):
     """Input collection repeated elements; duplicates were dropped."""
@@ -208,11 +211,18 @@ def chi_distance(space: Space, penalty: PenaltyFunction, a: PointSet,
     pairs = validate_injection(a, b, chi)
     matched = {y for _, y in pairs}
     total = 0.0
-    for x, y in pairs:
-        total += space.distance(x, y)
-    for y in b:
+    # The matched distances are the diagonals of pairwise over blocks of
+    # the witness.  Each entry depends only on its own pair, so they are
+    # the floats the solver's cost matrix held; a block bounds the entries
+    # computed and not used.
+    for i in range(0, len(pairs), _CHI_BLOCK):
+        block = pairs[i:i + _CHI_BLOCK]
+        square = space.pairwise([x for x, _ in block], [y for _, y in block])
+        for d in np.diagonal(square).tolist():
+            total += d
+    for y, m in zip(b.elements, penalty.values(b.elements).tolist()):
         if y not in matched:
-            total += penalty.value(y)
+            total += m
     return float(total)
 
 
@@ -248,16 +258,16 @@ def subset_distance(space: Space, penalty: PenaltyFunction, a: PointSet,
 
 
 def _solve_reduced(space, penalty, source: PointSet, target: PointSet):
-    ns, nt = len(source), len(target)
+    ns = len(source)
     src, tgt = source.elements, target.elements
-    penalties = [penalty.value(y) for y in tgt]
+    penalties = penalty.values(tgt)
     dist = space.pairwise(src, tgt)
     cols = ()
     if ns:
         # Admissibility gives d(x, y) <= M(y), so the costs are <= 0; one
         # constant shift makes them nonnegative without moving the optimum,
         # as every injection has exactly ns terms.
-        cost = dist - np.array(penalties)
+        cost = dist - penalties
         cols, _ = solve_injection(cost - cost.min())
 
     # Re-sum in canonical order (matched pairs by source, penalties by
@@ -268,9 +278,9 @@ def _solve_reduced(space, penalty, source: PointSet, target: PointSet):
     value = 0.0
     for i in range(ns):
         value += dist[i, cols[i]]
-    for j in range(nt):
+    for j, m in enumerate(penalties.tolist()):
         if j not in matched_cols:
-            value += penalties[j]
+            value += m
     return float(value), pairs
 
 
@@ -295,7 +305,7 @@ def brute_force_subset_distance(space: Space, penalty: PenaltyFunction,
 
     src, tgt = source.elements, target.elements
     dist = space.pairwise(src, tgt)
-    penalties = np.array([penalty.value(y) for y in tgt])
+    penalties = penalty.values(tgt)
     injections = np.array(list(itertools.permutations(range(nt), ns)),
                           dtype=np.intp)
     if injections.ndim == 1:  # ns == 0 collapses to shape (1,)

@@ -102,6 +102,42 @@ def test_table_penalty_lookup_and_domain():
         table.value("01")
 
 
+def penalty_variants(space, rng, elements):
+    """One penalty of each variant; the table covers ``elements``."""
+    return [ConstantPenalty(space, space.diameter * float(rng.uniform(1.0, 2.0))),
+            DiameterPenalty(space), EccentricityPenalty(space),
+            TablePenalty(space, [(x, float(rng.uniform(0.0, 5.0)))
+                                 for x in elements])]
+
+
+def test_values_equal_value_bit_for_bit_on_every_variant():
+    rng = np.random.default_rng(59)
+    spaces = space_family(rng) + [
+        HammingSpace("αβγ𝔸", 6),
+        *(EuclideanBoxSpace([(-1.0, 2.0)] * d) for d in (1, 3, 9, 20)),
+        GraphSpace([(v, v + 1, 0.5 + v) for v in range(9)]),
+    ]
+    for space in spaces:
+        ys = sorted({space.sample_element(rng) for _ in range(9)})
+        for penalty in penalty_variants(space, rng, ys):
+            m = penalty.values(ys)
+            assert m.dtype == np.float64 and m.shape == (len(ys),)
+            assert [v.hex() for v in m.tolist()] == [
+                penalty.value(y).hex() for y in ys]
+            assert [type(penalty.value(y)) for y in ys] == [float] * len(ys)
+            assert penalty.values([]).shape == (0,)
+
+
+def test_table_values_name_the_element_with_no_entry():
+    hs = HammingSpace("01", 2)
+    table = TablePenalty(hs, [("00", 2.0), ("11", 2.5)])
+    assert table.values(["11", "00"]).tolist() == [2.5, 2.0]
+    with pytest.raises(ValidationError, match="no table entry for element '01'"):
+        table.values(["00", "01"])
+    with pytest.raises(ValidationError, match="no table entry for element '10'"):
+        table.value("10")
+
+
 def test_table_penalty_structural_errors():
     hs = HammingSpace("01", 2)
     with pytest.raises(ValidationError):

@@ -140,6 +140,16 @@ def test_graph_eccentricity_is_row_maximum():
     assert g.eccentricity(0) == 3.0
 
 
+def test_graph_diameter_is_the_largest_eccentricity():
+    rng = np.random.default_rng(19)
+    for _ in range(20):
+        g = random_connected_graph(rng)
+        ecc = g.eccentricities(list(g.elements()))
+        assert type(g.diameter) is float
+        assert g.diameter == ecc.max() == max(
+            g.distance(u, v) for u, v in itertools.product(g.elements(), repeat=2))
+
+
 def test_graph_rejects_disconnected_and_bad_edges():
     with pytest.raises(ValidationError):
         GraphSpace([(0, 1, 1.0)], 3)
@@ -266,3 +276,35 @@ def test_real_inputs_accept_numpy_scalars_and_reject_non_numbers():
     for bad_edges in ([5], [(0, 1)], ["011"], 5):
         with pytest.raises(ValidationError):
             GraphSpace(bad_edges)
+
+
+def test_eccentricity_reads_the_eccentricities_kernel_exactly():
+    rng = np.random.default_rng(47)
+    spaces = space_family(rng) + [
+        HammingSpace("αβγ𝔸", 6),
+        HammingSpace("a", 3),  # one word: eccentricity 0
+        EuclideanBoxSpace([(0.0, 1.0)] * 9),
+        EuclideanBoxSpace([(-3.0, 2.0)] * 20),
+        random_connected_graph(rng, integer_weights=True),
+    ]
+    for space in spaces:
+        xs = [space.sample_element(rng) for _ in range(7)]
+        ecc = space.eccentricities(xs)
+        assert ecc.dtype == np.float64 and ecc.shape == (7,)
+        assert ecc.tolist() == [space.eccentricity(x) for x in xs]
+        # each entry is independent of the vector it is computed in
+        assert ecc.tolist() == [space.eccentricities([x])[0] for x in xs]
+        assert space.eccentricities([]).shape == (0,)
+        # eccentricity is the largest distance, so it bounds every distance
+        assert (space.pairwise(xs, xs) <= ecc[:, None]).all()
+
+
+def test_euclidean_eccentricities_stay_within_one_ulp_of_a_loop_reference():
+    rng = np.random.default_rng(53)
+    for dimension in (1, 3, 9, 20):
+        box = EuclideanBoxSpace([(-1.0, 2.0)] * dimension)
+        xs = [box.sample_element(rng) for _ in range(300)]
+        for x, e in zip(xs, box.eccentricities(xs)):
+            reference = math.sqrt(sum(max(v - lo, hi - v) ** 2
+                                      for v, (lo, hi) in zip(x, box.bounds)))
+            assert abs(e - reference) <= math.ulp(reference)

@@ -8,8 +8,9 @@ from scipy.optimize import linear_sum_assignment
 
 from setmetrics import (ConstantPenalty, DiameterPenalty,
                         DuplicateElementsWarning, EccentricityPenalty,
-                        GraphSpace, HammingSpace, Injection, PointSet,
-                        SizeLimitError, ValidationError,
+                        EuclideanBoxSpace, GraphSpace, HammingSpace,
+                        Injection, PointSet, SizeLimitError, TablePenalty,
+                        ValidationError,
                         brute_force_subset_distance,
                         chi_distance, sequence_subset_distance,
                         subset_distance, symmetric_difference_reduce,
@@ -241,6 +242,31 @@ def test_witness_reevaluates_to_the_reported_value():
                 assert fixed[x] == x
 
 
+def test_witnesses_longer_than_a_block_reevaluate_term_for_term():
+    rng = np.random.default_rng(89)
+    graph = GraphSpace([(v, (v * 7 + 3) % 300, 1.0 + v % 4) for v in range(300)]
+                       + [(v, v + 1, 2.5) for v in range(299)])
+    box = EuclideanBoxSpace([(0.0, 1.0)] * 3)
+    for space in (HammingSpace("ACGT", 10), box, graph):
+        pen = EccentricityPenalty(space)
+        a = distinct_words(space, rng, 130)
+        b = distinct_words(space, rng, 150)
+        result = subset_distance(space, pen, a, b)
+        src, tgt = (a, b) if result.witness_from_a else (b, a)
+        pairs = result.full_witness.pairs
+        assert len(pairs) > 128
+        # the scalar calls, one term at a time, in the canonical order
+        matched = {y for _, y in pairs}
+        expected = 0.0
+        for x, y in sorted(pairs):
+            expected += space.distance(x, y)
+        for y in tgt:
+            if y not in matched:
+                expected += pen.value(y)
+        assert chi_distance(space, pen, src, tgt, pairs) == expected
+        assert expected == result.value
+
+
 def test_different_size_distance_stays_above_smallest_penalty():
     # with |a| != |b| someone is always unmatched, so one penalty is paid
     rng = np.random.default_rng(79)
@@ -313,6 +339,24 @@ def test_prebuilt_point_sets_are_not_validated_again(monkeypatch):
         del calls[:]
         brute_force_subset_distance(space, penalty, a, b)
         assert len(calls) <= len(a) + len(b)
+
+
+def test_prebuilt_point_sets_make_no_validation_calls(monkeypatch):
+    rng = np.random.default_rng(67)
+    path = GraphSpace([(v, v + 1, 1.0) for v in range(11)])
+    dna = HammingSpace("ACGT", 8)
+    for space in (path, dna, unit_square()):
+        a = random_point_set(space, rng, 5, 2)
+        b = random_point_set(space, rng, 6, 6)
+        table = TablePenalty(space, [(y, 2 * space.diameter)
+                                     for y in a.elements + b.elements])
+        for penalty in (EccentricityPenalty(space), DiameterPenalty(space),
+                        ConstantPenalty(space, space.diameter), table):
+            calls = count_validations(monkeypatch, space)
+            subset_distance(space, penalty, a, b)
+            subset_distance(space, penalty, b, a)
+            brute_force_subset_distance(space, penalty, a, b)
+            assert calls == []
 
 
 def distinct_words(space, rng, n):
