@@ -24,8 +24,7 @@ from .penalties import (ConstantPenalty, DiameterPenalty, EccentricityPenalty,
                         PenaltyViolation, TablePenalty, parse_penalty_spec,
                         penalty_from_json, validate_penalty)
 from .spaces import (Element, EuclideanBoxSpace, GraphSpace, HammingSpace,
-                     REAL_TOL, Space, element_from_json, element_to_json,
-                     space_from_json)
+                     REAL_TOL, Space, element_to_json, space_from_json)
 from .subset_distance import (BRUTE_FORCE_MAX_SET, DuplicateElementsWarning,
                               Injection, PointSet, SubsetDistanceResult,
                               brute_force_subset_distance, chi_distance,
@@ -47,7 +46,7 @@ __all__ = [
     "SURJECTION_MAX_SET", "TablePenalty", "ValidationError", "Workspace",
     "brute_force_assignment", "brute_force_link_distance",
     "brute_force_subset_distance", "certify_penalty", "chi_distance",
-    "comparison_distance", "element_from_json", "element_to_json",
+    "comparison_distance", "element_to_json",
     "fair_surjective_distance", "hausdorff_distance", "link_distance",
     "load_sequence_sets", "load_workspace", "loads_sequence_sets",
     "loads_workspace", "parse_penalty_spec", "penalty_from_json",

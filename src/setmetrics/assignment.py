@@ -10,6 +10,10 @@ costs O(t) per row of its tree and the whole solve O(s^2 t) at worst.
 permutation.  A factorial-time enumerator is provided as an independent
 oracle for small square instances.  All three are deterministic: a fixed
 input always yields the same answer.
+
+These entry points check the matrices callers pass in.  The package's
+own distances build valid matrices by construction and call the core,
+``_shortest_augmenting_paths``, directly.
 """
 
 from __future__ import annotations
@@ -77,8 +81,10 @@ def solve_assignment(cost_matrix) -> Assignment:
 
 
 def _shortest_augmenting_paths(c: np.ndarray) -> tuple:
-    """Core of both solvers, on a validated s x t matrix with s <= t: row
-    potentials of size s, column potentials and scratch of size t."""
+    """Core of both solvers, on an s x t nonnegative matrix with s <= t
+    that it does not scan: row potentials of size s, column potentials and
+    scratch of size t.  Non-finite entries that leave no finite path raise
+    ValidationError here instead of looping."""
     s, t = c.shape
 
     u = np.zeros(s)                             # row potentials
@@ -115,6 +121,8 @@ def _shortest_augmenting_paths(c: np.ndarray) -> tuple:
             np.copyto(parent_row, i, where=better)
             j = int(dist.argmin())
             base = float(dist[j])
+            if base == np.inf:
+                raise ValidationError("cost matrix entries must be finite")
             final_dist[j] = base
             dist[j] = np.inf
             final[j] = True

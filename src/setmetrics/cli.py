@@ -31,7 +31,7 @@ from .spaces import EuclideanBoxSpace, element_to_json
 from .subset_distance import (PointSet, brute_force_subset_distance,
                               subset_distance)
 from .workspace import (Workspace, certify_penalty, load_sequence_sets,
-                        load_workspace)
+                        load_workspace, uncovered_elements)
 
 #: CLI metric names for the non-subset comparison distances.
 _COMPARISONS = {
@@ -160,10 +160,8 @@ def cmd_validate(args) -> int:
     ok = True
 
     if isinstance(ws.penalty, TablePenalty):
-        domain = set(ws.penalty.domain())
         uncovered = [f"set {name!r} element {x!r} has no table entry"
-                     for name, ps in ws.sets.items() for x in ps
-                     if x not in domain]
+                     for name, x in uncovered_elements(ws)]
         if uncovered:
             ok = False
             report["coverage"] = {"ok": False, "violations": uncovered}

@@ -19,7 +19,7 @@ import itertools
 
 import numpy as np
 
-from .assignment import solve_injection
+from .assignment import _shortest_augmenting_paths
 # Unused here; bound so that perfbench/tracing.py can wrap it by name.
 from .assignment import solve_assignment  # noqa: F401
 from .errors import DomainError, SizeLimitError, ValidationError
@@ -129,10 +129,10 @@ def link_distance(space: Space, a: PointSet, b: PointSet) -> float:
     base = float(row_cheap.sum() + col_cheap.sum())
 
     reduced = np.minimum(d - row_cheap[:, None] - col_cheap[None, :], 0.0)
-    # The solver wants nonnegative entries; shifting every entry by a
-    # constant moves the optimum value by len(small) * shift only.
+    # The solver core takes the entries, here in [0, shift]; shifting
+    # every entry by a constant moves the optimum by len(small) * shift only.
     shift = float(-reduced.min())
-    _, total = solve_injection(reduced.T + shift)
+    _, total = _shortest_augmenting_paths(reduced.T + shift)
     correction = total - len(small) * shift
     return float(base + correction)
 

@@ -33,8 +33,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import ParseError, ValidationError
-from .spaces import (Element, REAL_TOL, Space, element_from_json,
-                     element_to_json, finite_real)
+from .spaces import Element, REAL_TOL, Space, element_to_json, finite_real
 
 
 class PenaltyFunction:
@@ -311,8 +310,7 @@ def penalty_from_json(space: Space, obj: dict) -> PenaltyFunction:
             raise ParseError("table penalty 'entries' must be a list of "
                              "[element, value] pairs")
         try:
-            return TablePenalty(space, [(element_from_json(space, e), v)
-                                        for e, v in entries])
+            return TablePenalty(space, entries)
         except ValidationError as exc:
             raise ParseError(f"bad table penalty: {exc}") from exc
     raise ParseError(f"unknown penalty variant {variant!r}")
@@ -325,19 +323,17 @@ def _penalty_keys(obj: dict, allowed: set):
 
 
 def parse_penalty_spec(space: Space, text: str) -> PenaltyFunction:
-    """Parse a command-line penalty spec: constant:<v> | diameter | eccentricity."""
-    if text == "diameter":
-        return DiameterPenalty(space)
-    if text == "eccentricity":
-        return EccentricityPenalty(space)
-    if text.startswith("constant:"):
+    """Parse a command-line penalty spec, constant:<v> | diameter |
+    eccentricity, into a descriptor for :func:`penalty_from_json`."""
+    if text in ("diameter", "eccentricity"):
+        descriptor = {"variant": text}
+    elif text.startswith("constant:"):
         raw = text.split(":", 1)[1]
         try:
-            value = float(raw)
+            descriptor = {"variant": "constant", "value": float(raw)}
         except ValueError:
             raise ParseError(f"bad constant penalty value {raw!r}") from None
-        return ConstantPenalty(space, value)
-    raise ParseError(
-        f"unknown penalty spec {text!r}; use constant:<v>, diameter or eccentricity")
-
-
+    else:
+        raise ParseError(f"unknown penalty spec {text!r}; use constant:<v>, "
+                         "diameter or eccentricity")
+    return penalty_from_json(space, descriptor)

@@ -390,8 +390,3 @@ def _require_keys(obj: dict, allowed: set, optional: set = frozenset()):
 def element_to_json(x: Element):
     """JSON form of an element: vectors become lists, the rest map as-is."""
     return list(x) if isinstance(x, tuple) else x
-
-
-def element_from_json(space: Space, value) -> Element:
-    """Decode one element from its JSON form and validate it in the space."""
-    return space.validate_element(tuple(value) if isinstance(value, list) else value)

@@ -29,7 +29,7 @@ from typing import Iterable, Mapping, Union
 
 import numpy as np
 
-from .assignment import solve_injection
+from .assignment import _shortest_augmenting_paths
 # Unused here; bound so that perfbench/tracing.py can wrap it by name.
 from .assignment import solve_assignment  # noqa: F401
 from .errors import SizeLimitError, ValidationError
@@ -232,7 +232,6 @@ def symmetric_difference_reduce(a: PointSet, b: PointSet):
     The subset distance is unchanged: some optimal injection fixes every
     shared element, contributing zero for it on both sides.
     """
-    a._check_same_space(b)
     return a.difference(b), b.difference(a)
 
 
@@ -249,8 +248,7 @@ def subset_distance(space: Space, penalty: PenaltyFunction, a: PointSet,
     """
     _check_bound(space, penalty, a, b)
     common = a.intersection(b)
-    reduced_a = a.difference(b)
-    reduced_b = b.difference(a)
+    reduced_a, reduced_b = symmetric_difference_reduce(a, b)
     source, target, from_a = orient(reduced_a, reduced_b)
     value, pairs = _solve_reduced(space, penalty, source, target)
     return SubsetDistanceResult(value, Injection(pairs, value),
@@ -266,9 +264,10 @@ def _solve_reduced(space, penalty, source: PointSet, target: PointSet):
     if ns:
         # Admissibility gives d(x, y) <= M(y), so the costs are <= 0; one
         # constant shift makes them nonnegative without moving the optimum,
-        # as every injection has exactly ns terms.
+        # as every injection has exactly ns terms.  With ns <= nt the
+        # matrix is valid by construction, so the solver core takes it.
         cost = dist - penalties
-        cols, _ = solve_injection(cost - cost.min())
+        cols, _ = _shortest_augmenting_paths(cost - cost.min())
 
     # Re-sum in canonical order (matched pairs by source, penalties by
     # target) so the reported value matches a chi_distance evaluation of

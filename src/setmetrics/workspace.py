@@ -15,6 +15,10 @@ strings, vectors as number arrays, graph vertices as integers.
 A plain-text format covers the common sequence case: blank-line-separated
 blocks of equal-length words, block k loaded as "set_k", with alphabet
 inferred from the text and the penalty fixed to the constant word length.
+
+Each element is checked once, on entry: set elements by ``PointSet``
+(one helper builds the sets of both formats), table entries by
+``TablePenalty``.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from typing import Dict, List
 from .errors import ParseError, ValidationError
 from .penalties import (ConstantPenalty, DiameterPenalty, PenaltyFunction,
                         TablePenalty, penalty_from_json, validate_penalty)
-from .spaces import HammingSpace, Space, element_from_json, space_from_json
+from .spaces import HammingSpace, Space, space_from_json
 from .subset_distance import PointSet
 
 _TOP_KEYS = {"space", "m_function", "sets"}
@@ -97,6 +101,12 @@ def loads_workspace(text: str) -> Workspace:
     raw_sets = doc["sets"]
     if not isinstance(raw_sets, dict):
         raise ParseError("'sets' must map names to element lists")
+    return _workspace(space, penalty, raw_sets)
+
+
+def _workspace(space: Space, penalty: PenaltyFunction,
+               raw_sets: Dict[str, list]) -> Workspace:
+    """Workspace of named raw element lists, each made a PointSet."""
     sets: Dict[str, PointSet] = {}
     notices: List[str] = []
     for name, elements in raw_sets.items():
@@ -107,22 +117,23 @@ def loads_workspace(text: str) -> Workspace:
         try:
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
-                sets[name] = PointSet(
-                    space, [element_from_json(space, e) for e in elements])
+                sets[name] = PointSet(space, elements)
         except ValidationError as exc:
             raise ParseError(f"set {name!r}: {exc}") from exc
-        for w in caught:
-            notices.append(f"set {name!r}: {w.message}")
+        notices.extend(f"set {name!r}: {w.message}" for w in caught)
     return Workspace(space, penalty, sets, notices)
 
 
-def load_workspace(path: str) -> Workspace:
+def _read(path: str) -> str:
     try:
         with open(path, encoding="utf-8") as fh:
-            text = fh.read()
+            return fh.read()
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc.strerror or exc}") from exc
-    return loads_workspace(text)
+
+
+def load_workspace(path: str) -> Workspace:
+    return loads_workspace(_read(path))
 
 
 def loads_sequence_sets(text: str) -> Workspace:
@@ -158,26 +169,19 @@ def loads_sequence_sets(text: str) -> Workspace:
     alphabet = "".join(sorted({ch for w in words for ch in w}))
     space = HammingSpace(alphabet, length)
     penalty = ConstantPenalty(space, float(length))
-
-    sets: Dict[str, PointSet] = {}
-    notices: List[str] = []
-    for k, block in enumerate(blocks, start=1):
-        name = f"set_{k}"
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            sets[name] = PointSet(space, block)
-        for w in caught:
-            notices.append(f"set {name!r}: {w.message}")
-    return Workspace(space, penalty, sets, notices)
+    sets = {f"set_{k}": block for k, block in enumerate(blocks, start=1)}
+    return _workspace(space, penalty, sets)
 
 
 def load_sequence_sets(path: str) -> Workspace:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc.strerror or exc}") from exc
-    return loads_sequence_sets(text)
+    return loads_sequence_sets(_read(path))
+
+
+def uncovered_elements(workspace: Workspace) -> list:
+    """``(set name, element)`` of each set element the table penalty lacks."""
+    table = workspace.penalty.table
+    return [(name, x) for name, ps in workspace.sets.items()
+            for x in ps if x not in table]
 
 
 def certify_penalty(workspace: Workspace):
@@ -191,10 +195,7 @@ def certify_penalty(workspace: Workspace):
     penalty = workspace.penalty
     if not isinstance(penalty, TablePenalty):
         return
-    domain = set(penalty.domain())
-    missing = [(name, x)
-               for name, ps in workspace.sets.items()
-               for x in ps if x not in domain]
+    missing = uncovered_elements(workspace)
     if missing:
         name, x = missing[0]
         raise ValidationError(

@@ -7,8 +7,12 @@ import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
-from setmetrics import (Assignment, ValidationError, SizeLimitError,
-                        brute_force_assignment, solve_assignment)
+import setmetrics.assignment
+from setmetrics import (Assignment, DiameterPenalty, EuclideanBoxSpace,
+                        GraphSpace, HammingSpace, PointSet, TablePenalty,
+                        ValidationError, SizeLimitError,
+                        brute_force_assignment, link_distance,
+                        solve_assignment, subset_distance)
 from setmetrics.assignment import solve_injection
 
 
@@ -168,3 +172,41 @@ def test_injection_rejects_bad_matrices():
     for bad in (-1.0, float("nan"), float("inf"), -float("inf")):
         with pytest.raises(ValidationError):
             solve_injection([[0.0, bad]])
+
+
+def test_package_distances_skip_the_matrix_checks(monkeypatch):
+    # The subset and link distances build matrices that are valid by
+    # construction; only callers outside the package get them checked.
+    calls = []
+    original = setmetrics.assignment._as_cost_array
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(setmetrics.assignment, "_as_cost_array", counted)
+    space = HammingSpace("ACGT", 4)
+    a = PointSet(space, ["ACGT", "TTAA", "CCGG"])
+    b = PointSet(space, ["ACGA", "TTAA", "GGCC", "AAAA", "CCCC"])
+    assert subset_distance(space, DiameterPenalty(space), a, b).value == 11.0
+    assert link_distance(space, a, b) == 9.0
+    assert calls == []
+    solve_injection([[1.0, 0.0]])
+    assert len(calls) == 1
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_non_finite_costs_raise_instead_of_looping():
+    # Without the matrix checks, an uncertified table near the float limit
+    # or a box too wide for float distances still has to raise.
+    graph = GraphSpace([(0, 2, 1.0), (1, 2, 1.0), (2, 3, 1e308)])
+    table = TablePenalty(graph, {0: 0.0, 1: 0.0, 2: 1.7e308, 3: 0.0})
+    with pytest.raises(ValidationError, match="finite"):
+        subset_distance(graph, table, PointSet(graph, [0, 1]),
+                        PointSet(graph, [2, 3]))
+    line = EuclideanBoxSpace([(-1e308, 1e308)])
+    a, b = PointSet(line, [(-1e308,)]), PointSet(line, [(1e308,), (0.0,)])
+    with pytest.raises(ValidationError, match="finite"):
+        subset_distance(line, DiameterPenalty(line), a, b)
+    with pytest.raises(ValidationError, match="finite"):
+        link_distance(line, a, b)

@@ -280,3 +280,13 @@ def test_demo_rejects_small_n_max(capsys):
 def test_no_command_is_usage_error(capsys):
     assert run(capsys, )[0] == 2
     assert run(capsys, "frobnicate")[0] == 2
+
+
+@pytest.mark.parametrize("value", ("nan", "inf", "-inf", "1e400"))
+def test_non_finite_constant_override_is_usage_error(capsys, value):
+    for argv in (("dist", fx("hamming_small.json"), "A", "B"),
+                 ("matrix", fx("unit_square.json"))):
+        code, out, err = run(capsys, *argv, "--m", f"constant:{value}")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")

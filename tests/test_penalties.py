@@ -208,3 +208,15 @@ def test_parse_penalty_spec():
         parse_penalty_spec(hs, "linear")
     with pytest.raises(ValidationError):
         parse_penalty_spec(hs, "constant:0.5")
+
+
+def test_parse_penalty_spec_agrees_with_penalty_from_json():
+    hs = HammingSpace("01", 3)
+    for spec, descriptor in (
+            ("diameter", {"variant": "diameter"}),
+            ("eccentricity", {"variant": "eccentricity"}),
+            ("constant:4.5", {"variant": "constant", "value": 4.5})):
+        assert parse_penalty_spec(hs, spec) == penalty_from_json(hs, descriptor)
+    for value in ("nan", "inf", "-inf", "1e400"):
+        with pytest.raises(ParseError, match="finite"):
+            parse_penalty_spec(hs, f"constant:{value}")

@@ -1,11 +1,16 @@
 """Workspace documents: JSON and text loading, round trips, certification."""
 
+import json
+
 import pytest
 
 from setmetrics import (ConstantPenalty, DiameterPenalty, EccentricityPenalty,
-                        ParseError, TablePenalty, ValidationError,
-                        certify_penalty, loads_sequence_sets, loads_workspace,
-                        subset_distance)
+                        EuclideanBoxSpace, GraphSpace, ParseError, TablePenalty,
+                        ValidationError, certify_penalty, loads_sequence_sets,
+                        loads_workspace, subset_distance)
+from setmetrics.workspace import uncovered_elements
+
+from generators import count_validations
 
 HAMMING_DOC = """
 {
@@ -177,3 +182,44 @@ def test_get_set_unknown_name():
     with pytest.raises(ParseError) as exc:
         ws.get_set("Z")
     assert "unknown set name" in str(exc.value)
+
+
+def test_loading_validates_each_element_and_table_entry_once(monkeypatch):
+    graph = {"space": {"kind": "graph",
+                       "edges": [[0, 1, 1.0], [1, 2, 1.0], [2, 3, 1.0]]},
+             "m_function": {"variant": "table",
+                            "entries": [[0, 3], [1, 2], [2, 2], [3, 3]]},
+             "sets": {"A": [0, 1, 1], "B": [2, 3], "C": []}}
+    box = {"space": {"kind": "euclidean_box", "bounds": [[0, 1], [0, 1]]},
+           "m_function": {"variant": "table",
+                          "entries": [[[0, 0], 2], [[1, 1], 2]]},
+           "sets": {"P": [[0, 0], [0.5, 0.25]], "Q": [[1, 1]]}}
+    for space, doc in ((GraphSpace([(0, 1, 1.0)]), graph),
+                       (EuclideanBoxSpace([(0.0, 1.0)]), box)):
+        calls = count_validations(monkeypatch, space)
+        loads_workspace(json.dumps(doc))
+        elements = sum(len(v) for v in doc["sets"].values())
+        assert len(calls) == elements + len(doc["m_function"]["entries"])
+
+
+@pytest.mark.parametrize("doc", [
+    '{"space": {"kind": "hamming", "alphabet": "01", "length": 2},'
+    ' "sets": {"A": [["0", "1"]]}}',
+    '{"space": {"kind": "graph", "edges": [[0, 1, 1.0]]},'
+    ' "sets": {"A": [[0]]}}',
+    '{"space": {"kind": "graph", "edges": [[0, 1, 1.0]]},'
+    ' "m_function": {"variant": "table", "entries": [[[0], 2.0]]},'
+    ' "sets": {"A": [0]}}',
+], ids=["hamming word", "graph vertex", "table entry"])
+def test_json_list_for_a_scalar_element_names_the_list(doc):
+    with pytest.raises(ParseError, match="got list$"):
+        loads_workspace(doc)
+
+
+def test_uncovered_elements_in_set_order():
+    ws = loads_workspace("""
+    {"space": {"kind": "hamming", "alphabet": "01", "length": 2},
+     "m_function": {"variant": "table", "entries": [["00", 2.0], ["01", 2.0]]},
+     "sets": {"A": ["11", "00", "10"], "B": ["01"], "C": ["11"]}}
+    """)
+    assert uncovered_elements(ws) == [("A", "10"), ("A", "11"), ("C", "11")]
