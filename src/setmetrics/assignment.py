@@ -3,9 +3,9 @@
 ``solve_injection`` matches every row of an s x t nonnegative cost matrix
 (s <= t) to a distinct column at minimum total cost; the t - s columns
 left over are simply unused.  It is a shortest-augmenting-path method
-with dual potentials (Jonker-Volgenant style): one Dijkstra-like search
-per row, with the column scan vectorized through numpy, so a search
-costs O(t) per row of its tree and the whole solve O(s^2 t) at worst.
+with dual potentials (Jonker-Volgenant style).  A row whose cheapest column
+is free takes it by that one edge; only the others grow a Dijkstra-like
+tree, its column scan vectorized through numpy: O(s^2 t) at worst.
 ``solve_assignment`` is its square special case, returning a
 permutation.  A factorial-time enumerator is provided as an independent
 oracle for small square instances.  All three are deterministic: a fixed
@@ -82,38 +82,40 @@ def solve_assignment(cost_matrix) -> Assignment:
 
 def _shortest_augmenting_paths(c: np.ndarray) -> tuple:
     """Core of both solvers, on an s x t nonnegative matrix with s <= t
-    that it does not scan: row potentials of size s, column potentials and
-    scratch of size t.  Non-finite entries that leave no finite path raise
-    ValidationError here instead of looping."""
+    that it does not scan.  A row whose cheapest ``c[row] - v`` is finite
+    and free takes that column, leaving ``v`` as it is; only the other rows
+    reset the tree scratch, relax one tree row per step and update duals.
+    Entries that leave no finite path raise ValidationError, not loop."""
     s, t = c.shape
 
-    u = np.zeros(s)                             # row potentials
+    u = [0.0] * s                               # row potentials
     v = np.zeros(t)                             # column potentials
-    col_of_row = np.full(s, -1, dtype=np.intp)
-    row_of_col = np.full(t, -1, dtype=np.intp)
+    col_of_row = [-1] * s
+    row_of_col = [-1] * t
 
-    # scratch buffers reused across augmentations
+    # tree scratch, reused across rows
     dist = np.empty(t)          # tentative path costs; +inf once a column is final
-    final_dist = np.empty(t)    # frozen path cost of finalized columns
-    reduced = np.empty(t)
     better = np.empty(t, dtype=bool)
-    final = np.empty(t, dtype=bool)
     open_cols = np.empty(t, dtype=bool)
     parent_row = np.empty(t, dtype=np.intp)
 
     for start_row in range(s):
+        reduced = c[start_row] - v  # the first relaxation: u[start_row] is 0
+        j = int(reduced.argmin())
+        base = float(reduced[j])
+        if abs(base) < np.inf and row_of_col[j] < 0:
+            u[start_row] += base
+            col_of_row[start_row], row_of_col[j] = j, start_row
+            continue
+
         dist.fill(np.inf)
-        final_dist.fill(np.inf)
-        final.fill(False)
         open_cols.fill(True)
         parent_row.fill(-1)
-        tree_rows = [start_row]
+        final_cols, final_costs = [], []    # in order, the last one free
         base = 0.0                  # path cost of the row being scanned
         i = start_row
-        sink = -1
-        while sink < 0:
-            # relax every non-final column through row i
-            np.subtract(c[i], v, out=reduced)
+        while True:
+            # relax every non-final column through row i; reduced holds c[i] - v
             reduced += base - u[i]
             np.less(reduced, dist, out=better)
             better &= open_cols
@@ -123,26 +125,23 @@ def _shortest_augmenting_paths(c: np.ndarray) -> tuple:
             base = float(dist[j])
             if base == np.inf:
                 raise ValidationError("cost matrix entries must be finite")
-            final_dist[j] = base
+            final_cols.append(j)
+            final_costs.append(base)
             dist[j] = np.inf
-            final[j] = True
             open_cols[j] = False
-            r = int(row_of_col[j])
-            if r < 0:
-                sink = j
-            else:
-                i = r
-                tree_rows.append(r)
+            i = row_of_col[j]
+            if i < 0:
+                break
+            np.subtract(c[i], v, out=reduced)
 
         # dual update keeps reduced costs nonnegative and tree edges tight
         u[start_row] += base
-        if len(tree_rows) > 1:
-            rows = np.asarray(tree_rows[1:], dtype=np.intp)
-            u[rows] += base - final_dist[col_of_row[rows]]
-        v[final] += final_dist[final] - base
+        for j, cost in zip(final_cols[:-1], final_costs):
+            u[row_of_col[j]] += base - cost
+        v[final_cols] += np.subtract(final_costs, base)
 
         # augment along the alternating path ending at the free column
-        j = sink
+        j = final_cols[-1]
         while True:
             i = int(parent_row[j])
             row_of_col[j] = i
@@ -151,7 +150,7 @@ def _shortest_augmenting_paths(c: np.ndarray) -> tuple:
                 break
 
     total = float(c[np.arange(s), col_of_row].sum())
-    return tuple(int(x) for x in col_of_row), total
+    return tuple(col_of_row), total
 
 
 def brute_force_assignment(cost_matrix) -> Assignment:

@@ -211,7 +211,11 @@ class EuclideanBoxSpace(Space):
 
     @property
     def diameter(self) -> float:
-        return math.sqrt(sum((hi - lo) ** 2 for lo, hi in self.bounds))
+        """The length of the box's diagonal; inf when it overflows a float."""
+        try:
+            return math.sqrt(sum((hi - lo) ** 2 for lo, hi in self.bounds))
+        except OverflowError:
+            return math.inf
 
     def validate_element(self, x) -> tuple:
         if isinstance(x, str) or not isinstance(x, Sequence):
@@ -369,7 +373,10 @@ def space_from_json(obj: dict) -> Space:
             return HammingSpace(obj["alphabet"], obj["length"])
         if kind == "euclidean_box":
             _require_keys(obj, {"kind", "bounds"})
-            return EuclideanBoxSpace(obj["bounds"])
+            box = EuclideanBoxSpace(obj["bounds"])
+            if box.diameter == math.inf:  # distances of far points overflow too
+                raise ValidationError("box is too wide: its diameter overflows")
+            return box
         if kind == "graph":
             _require_keys(obj, {"kind", "edges", "vertices"}, optional={"vertices"})
             return GraphSpace(obj["edges"], obj.get("vertices"))

@@ -210,3 +210,89 @@ def test_non_finite_costs_raise_instead_of_looping():
         subset_distance(line, DiameterPenalty(line), a, b)
     with pytest.raises(ValidationError, match="finite"):
         link_distance(line, a, b)
+
+
+def forced_path_matrix(rng, shape, path, integers):
+    """A matrix on which every row finishes in one edge (each row's cheapest
+    column is its own) or the search tree grows on every row after the
+    first (column costs spaced wider than the noise and shifted per row,
+    so each row's cheapest reduced cost lies in a column an earlier row
+    took)."""
+    s, t = shape
+    if path == "tree on every row":
+        spaced = 3.0 * rng.permutation(t)
+        if integers:
+            return (spaced + rng.integers(0, 3, size=(s, 1))
+                    + rng.integers(0, 2, size=shape))
+        return (spaced + rng.uniform(0.0, 1.0, size=(s, 1))
+                + rng.uniform(0.0, 1.0, size=shape))
+    if integers:
+        c = rng.integers(2, 5, size=shape).astype(float)
+        cheap = rng.integers(0, 2, size=s).astype(float)
+    else:
+        c = rng.uniform(1.0, 10.0, size=shape)
+        cheap = rng.uniform(0.0, 1.0, size=s)
+    c[np.arange(s), rng.permutation(t)[:s]] = cheap
+    return c
+
+
+PATHS = ("one edge", "tree on every row")
+
+
+@pytest.mark.parametrize("path", PATHS)
+@pytest.mark.parametrize("shape", [(1, 1), (1, 9), (3, 8), (7, 7), (20, 150),
+                                   (60, 61)])
+def test_injection_on_forced_paths_matches_scipy(shape, path):
+    rng = np.random.default_rng([sum(shape), PATHS.index(path)])
+    for trial in range(6):
+        c = forced_path_matrix(rng, shape, path, integers=trial % 2 == 1)
+        cols, total = solve_injection(c)
+        assert_is_injection(c, cols, total)
+        if path == "one edge":
+            assert cols == tuple(int(j) for j in c.argmin(axis=1))
+        if trial % 2:
+            assert total == scipy_injection_total(c)
+        else:
+            assert total == pytest.approx(scipy_injection_total(c), abs=1e-9)
+
+
+@pytest.mark.parametrize("path", PATHS)
+def test_injection_on_forced_paths_matches_enumeration(path):
+    rng = np.random.default_rng([53, PATHS.index(path)])
+    for trial in range(150):
+        t = int(rng.integers(1, 8))
+        s = int(rng.integers(1, t + 1))
+        c = forced_path_matrix(rng, (s, t), path, integers=trial % 2 == 1)
+        best = min(sum(c[i, j] for i, j in enumerate(chi))
+                   for chi in itertools.permutations(range(t), s))
+        cols, total = solve_injection(c)
+        assert_is_injection(c, cols, total)
+        if trial % 2:
+            assert total == best
+        else:
+            assert total == pytest.approx(best, abs=1e-9)
+
+
+def test_core_skips_nan_in_a_start_row():
+    # The core never relaxes a column through a NaN entry, so a NaN acts as
+    # a missing edge: the answer is the best injection over finite entries,
+    # and a row left with no finite path raises.
+    core = setmetrics.assignment._shortest_augmenting_paths
+    rng = np.random.default_rng(67)
+    for trial in range(300):
+        t = int(rng.integers(1, 7))
+        s = int(rng.integers(1, t + 1))
+        c = rng.integers(0, 4, size=(s, t)).astype(float)
+        for i in rng.choice(s, size=int(rng.integers(1, s + 1)), replace=False):
+            c[i, rng.integers(0, t)] = np.nan
+        finite = [sum(c[i, j] for i, j in enumerate(chi))
+                  for chi in itertools.permutations(range(t), s)
+                  if not any(np.isnan(c[i, j]) for i, j in enumerate(chi))]
+        if not finite:
+            with pytest.raises(ValidationError, match="finite"):
+                core(c)
+            continue
+        cols, total = core(c)
+        assert not any(np.isnan(c[i, j]) for i, j in enumerate(cols))
+        assert_is_injection(c, cols, total)
+        assert total == min(finite)

@@ -290,3 +290,36 @@ def test_non_finite_constant_override_is_usage_error(capsys, value):
         assert code == 2
         assert out == ""
         assert err.startswith("error:")
+
+
+WIDE_BOXES = {
+    "squared sides overflow": [[0, 1e200], [0, 1e200]],
+    "side overflows": [[-1e308, 1e308]],
+}
+WIDE_BOX_COMMANDS = {
+    "matrix": ("matrix",),
+    "matrix hausdorff": ("matrix", "--metric", "hausdorff"),
+    "dist": ("dist", "A", "B"),
+    "dist hausdorff": ("dist", "A", "B", "--metric", "hausdorff"),
+    "validate": ("validate", "--samples", "3"),
+}
+
+
+@pytest.mark.parametrize("bounds", WIDE_BOXES.values(), ids=WIDE_BOXES)
+@pytest.mark.parametrize("variant", ("diameter", "eccentricity"))
+@pytest.mark.parametrize("command", WIDE_BOX_COMMANDS.values(),
+                         ids=WIDE_BOX_COMMANDS)
+def test_box_too_wide_for_floats_is_one_error_line(tmp_path, capsys, bounds,
+                                                   variant, command):
+    corner = [lo for lo, _ in bounds]
+    doc = {"space": {"kind": "euclidean_box", "bounds": bounds},
+           "m_function": {"variant": variant},
+           "sets": {"A": [corner], "B": [[hi for _, hi in bounds], corner]}}
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(doc))
+    name, *rest = command
+    code, out, err = run(capsys, name, str(path), *rest)
+    assert code in (1, 2)
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "too wide" in err

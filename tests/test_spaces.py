@@ -308,3 +308,17 @@ def test_euclidean_eccentricities_stay_within_one_ulp_of_a_loop_reference():
             reference = math.sqrt(sum(max(v - lo, hi - v) ** 2
                                       for v, (lo, hi) in zip(x, box.bounds)))
             assert abs(e - reference) <= math.ulp(reference)
+
+
+def test_box_diameter_is_inf_only_where_floats_overflow():
+    rng = np.random.default_rng(61)
+    for _ in range(200):
+        bounds = [sorted(rng.uniform(-1e150, 1e150, size=2) * rng.random())
+                  for _ in range(int(rng.integers(1, 5)))]
+        box = EuclideanBoxSpace(bounds)
+        expected = math.sqrt(sum((hi - lo) ** 2 for lo, hi in box.bounds))
+        assert box.diameter.hex() == expected.hex()
+    for bounds in ([(0.0, 1e200), (0.0, 1e200)], [(-1e308, 1e308)]):
+        assert EuclideanBoxSpace(bounds).diameter == math.inf
+        with pytest.raises(ParseError, match="too wide"):
+            space_from_json({"kind": "euclidean_box", "bounds": bounds})
