@@ -251,13 +251,8 @@ def validate_penalty(space: Space, penalty: PenaltyFunction,
     """
     if penalty.space != space:
         raise ValidationError("penalty is bound to a different space")
-    elements = []
-    seen = set()
-    for x in sample:
-        key = space.validate_element(x)
-        if key not in seen:
-            seen.add(key)
-            elements.append(key)
+    # Each distinct element once, in order of first appearance.
+    elements = list(dict.fromkeys(space.validate_elements(sample)))
     if not elements:
         raise ValidationError("admissibility check needs a non-empty sample")
 

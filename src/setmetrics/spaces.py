@@ -11,11 +11,14 @@ from a point to anywhere in the space):
 
 Elements are plain values: a word is a ``str``, a point is a tuple of
 floats, a vertex is an ``int``.  Spaces validate and canonicalize
-elements on entry.  Each space writes its metric once, as the numpy
-kernel ``pairwise`` over canonical elements (not validated again);
-``distance`` returns its entry for one pair, so every path reads the
-same floats.  Eccentricity follows the same pattern: the kernel
-``eccentricities`` over canonical elements, read by ``eccentricity``.
+elements on entry: ``validate_element`` one at a time, or
+``validate_elements`` a whole list, which words and vertices check in a
+few passes over the list, with the same results and errors.  Each space
+writes its metric once, as the numpy kernel ``pairwise`` over canonical
+elements (not validated again); ``distance`` returns its entry for one
+pair, so every path reads the same floats.  Eccentricity follows the
+same pattern: the kernel ``eccentricities`` over canonical elements,
+read by ``eccentricity``.
 All operations are pure; instances are immutable after construction and
 safe to share across threads.
 """
@@ -25,7 +28,7 @@ from __future__ import annotations
 import itertools
 import math
 import numbers
-from typing import Iterator, Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -71,6 +74,12 @@ class Space:
         """Return the canonical form of ``x``; raise ValidationError if it
         does not belong to this space."""
         raise NotImplementedError
+
+    def validate_elements(self, items: Iterable) -> list:
+        """``validate_element`` of each item, in order, as a list; the
+        first bad item raises.  A space may check a whole list in a few
+        passes instead, with the same results and the same errors."""
+        return [self.validate_element(x) for x in items]
 
     def distance(self, a, b) -> float:
         """Metric distance between two elements: their ``pairwise`` entry."""
@@ -159,6 +168,17 @@ class HammingSpace(Space):
             raise ValidationError(
                 f"word {x!r} uses symbols {sorted(bad)} outside alphabet {self.alphabet!r}")
         return x
+
+    def validate_elements(self, items: Iterable) -> list:
+        # Plain words of the right length over the alphabet are their own
+        # canonical form; anything else takes the per-element loop, which
+        # raises its error for the first bad item.
+        items = list(items)
+        if set(map(type, items)) <= {str} \
+                and set(map(len, items)) <= {self.length} \
+                and set("".join(items)) <= self._symbols:
+            return items
+        return super().validate_elements(items)
 
     def pairwise(self, xs: Sequence[str], ys: Sequence[str]) -> np.ndarray:
         # Count mismatched code points; utf-32 keeps any alphabet exact.
@@ -304,14 +324,19 @@ class GraphSpace(Space):
         self.vertex_count = n
         self.edges = tuple(sorted(set(cleaned)))
 
-        dm = np.full((n, n), np.inf)
-        np.fill_diagonal(dm, 0.0)
+        adjacency = np.full((n, n), np.inf)
+        np.fill_diagonal(adjacency, 0.0)
         for u, v, w in self.edges:
-            if w < dm[u, v]:  # parallel edges: keep the cheapest
-                dm[u, v] = dm[v, u] = w
-        for k in range(n):
-            np.minimum(dm, dm[:, k, None] + dm[None, k, :], out=dm)
+            if w < adjacency[u, v]:  # parallel edges: keep the cheapest
+                adjacency[u, v] = adjacency[v, u] = w
+        dm = _shortest_paths(adjacency.copy())
         if not np.isfinite(dm).all():
+            # An inf is a vertex out of reach or a path too long for a
+            # float; with every edge weighing 0 nothing overflows.
+            reach = np.where(adjacency < np.inf, 0.0, np.inf)
+            if np.isfinite(_shortest_paths(reach)).all():
+                raise ValidationError(
+                    "graph is too wide: its shortest-path distances overflow")
             raise ValidationError(
                 "graph is not connected; shortest-path distances are unbounded")
         self._dist = dm
@@ -332,9 +357,19 @@ class GraphSpace(Space):
                 f"vertex {x} outside range 0..{self.vertex_count - 1}")
         return x
 
+    def validate_elements(self, items: Iterable) -> list:
+        # Plain ints in range are their own canonical form; bools, numpy
+        # integers and bad items take the per-element loop.
+        items = list(items)
+        if set(map(type, items)) <= {int} and (
+                not items or (0 <= min(items) and max(items) < self.vertex_count)):
+            return items
+        return super().validate_elements(items)
+
     def pairwise(self, xs: Sequence[int], ys: Sequence[int]) -> np.ndarray:
-        return self._dist[np.ix_(np.array(xs, dtype=np.intp),
-                                 np.array(ys, dtype=np.intp))]
+        # take gathers what np.ix_ indexing would, with less overhead.
+        return (self._dist.take(np.array(xs, dtype=np.intp), axis=0)
+                .take(np.array(ys, dtype=np.intp), axis=1))
 
     def eccentricities(self, xs: Sequence[int]) -> np.ndarray:
         return self._ecc[np.array(xs, dtype=np.intp)]
@@ -355,6 +390,15 @@ class GraphSpace(Space):
 
     def _key(self) -> tuple:
         return (self.kind, self.vertex_count, self.edges)
+
+
+def _shortest_paths(dm: np.ndarray) -> np.ndarray:
+    """Floyd-Warshall over the edge-weight matrix ``dm``, in place; a path
+    length that overflows a float becomes inf."""
+    with np.errstate(over="ignore"):
+        for k in range(len(dm)):
+            np.minimum(dm, dm[:, k, None] + dm[None, k, :], out=dm)
+    return dm
 
 
 def space_from_json(obj: dict) -> Space:

@@ -58,7 +58,7 @@ class PointSet:
     __slots__ = ("space", "elements", "_members")
 
     def __init__(self, space: Space, items: Iterable = ()):
-        canonical = [space.validate_element(x) for x in items]
+        canonical = space.validate_elements(items)
         unique = sorted(set(canonical))
         if len(unique) != len(canonical):
             warnings.warn(DuplicateElementsWarning(
@@ -102,11 +102,15 @@ class PointSet:
 
     def intersection(self, other: "PointSet") -> "PointSet":
         self._check_same_space(other)
+        if self._members.isdisjoint(other._members):
+            return PointSet._from_canonical(self.space, ())
         kept = tuple(x for x in self.elements if x in other._members)
         return PointSet._from_canonical(self.space, kept)
 
     def difference(self, other: "PointSet") -> "PointSet":
         self._check_same_space(other)
+        if self._members.isdisjoint(other._members):
+            return self  # immutable, so it can stand for its own copy
         kept = tuple(x for x in self.elements if x not in other._members)
         return PointSet._from_canonical(self.space, kept)
 

@@ -166,7 +166,7 @@ def loads_sequence_sets(text: str) -> Workspace:
     if offender is not None:
         raise ParseError(
             f"all words must have length {length}, got {offender!r}")
-    alphabet = "".join(sorted({ch for w in words for ch in w}))
+    alphabet = "".join(sorted(set("".join(words))))
     space = HammingSpace(alphabet, length)
     penalty = ConstantPenalty(space, float(length))
     sets = {f"set_{k}": block for k, block in enumerate(blocks, start=1)}

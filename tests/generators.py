@@ -83,14 +83,31 @@ def literal_sequence_distance(words_a, words_b, length):
 
 
 def count_validations(monkeypatch, space):
-    """Wrap ``validate_element`` of the space's class with a counter; return
-    the list the wrapper appends every validated value to."""
+    """Wrap ``validate_element`` and ``validate_elements`` of the space's
+    class with a counter; return the list the wrappers append every
+    validated value to.  Each element is appended once, whichever entry
+    point checks it: calls made inside ``validate_elements`` are not
+    counted again."""
     calls = []
-    original = type(space).validate_element
+    nested = []
+    cls = type(space)
+    one, many = cls.validate_element, cls.validate_elements
 
     def counted(self, x):
-        calls.append(x)
-        return original(self, x)
+        if not nested:
+            calls.append(x)
+        return one(self, x)
 
-    monkeypatch.setattr(type(space), "validate_element", counted)
+    def counted_many(self, items):
+        items = list(items)
+        if not nested:
+            calls.extend(items)
+        nested.append(True)
+        try:
+            return many(self, items)
+        finally:
+            nested.pop()
+
+    monkeypatch.setattr(cls, "validate_element", counted)
+    monkeypatch.setattr(cls, "validate_elements", counted_many)
     return calls

@@ -323,3 +323,24 @@ def test_box_too_wide_for_floats_is_one_error_line(tmp_path, capsys, bounds,
     assert out == ""
     assert err.startswith("error:") and err.count("\n") == 1
     assert "too wide" in err
+
+
+BAD_GRAPHS = {
+    "paths overflow": ({"edges": [[0, 1, 1e308], [1, 2, 1e308]]}, "too wide"),
+    "disconnected": ({"edges": [[0, 1, 1.0], [2, 3, 1.0]]}, "not connected"),
+    "disconnected and wide": ({"edges": [[0, 1, 1e308], [1, 2, 1e308]],
+                               "vertices": 4}, "not connected"),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("graph, reason", BAD_GRAPHS.values(), ids=BAD_GRAPHS)
+def test_bad_graph_is_one_error_line(tmp_path, capsys, graph, reason):
+    doc = {"space": {"kind": "graph", **graph}, "sets": {"A": [0], "B": [1]}}
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "dist", str(path), "A", "B")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert reason in err

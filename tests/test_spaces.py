@@ -165,6 +165,15 @@ def test_graph_rejects_disconnected_and_bad_edges():
         GraphSpace([])
 
 
+def test_graph_with_overflowing_paths_is_too_wide_not_disconnected():
+    with pytest.raises(ValidationError, match="too wide"):
+        GraphSpace([(0, 1, 1e308), (1, 2, 1e308)])
+    for edges, n in (([(0, 1, 1e308), (1, 2, 1e308)], 4), ([(0, 1, 1.0)], 3)):
+        with pytest.raises(ValidationError, match="not connected"):
+            GraphSpace(edges, n)
+    assert GraphSpace([(0, 1, 1e308)]).diameter == 1e308
+
+
 def test_graph_metric_axioms_exhaustive_random_instances():
     rng = np.random.default_rng(23)
     for _ in range(25):
@@ -322,3 +331,52 @@ def test_box_diameter_is_inf_only_where_floats_overflow():
         assert EuclideanBoxSpace(bounds).diameter == math.inf
         with pytest.raises(ParseError, match="too wide"):
             space_from_json({"kind": "euclidean_box", "bounds": bounds})
+
+
+class Word(str):
+    pass
+
+
+def outcome(validate, items):
+    """What ``validate`` returns, with each element's type and repr (so
+    -0.0 and str subclasses show), or the error it raises."""
+    try:
+        return [(type(x), repr(x)) for x in validate(items)]
+    except ValidationError as exc:
+        return type(exc), str(exc)
+
+
+BULK_CASES = {
+    "hamming": (HammingSpace("ACGT", 4), [
+        [], ["ACGT", "TTTT", "ACGT"], {"ACGT", "GGGG"}, [Word("ACGT"), "TTTT"],
+        ["ACGT", "ACG"], ["ACGT", "ACGX"], ["ACGT", 5, "TTTT"],
+        ["ACGT", "ACG", "ACGX"], ["ACGX", "ACG"], [b"ACGT"], ["ACGT", None]]),
+    "graph": (GraphSpace([(v, v + 1, 1.0) for v in range(4)]), [
+        [], [0, 4, 2, 2], {1, 3}, range(5), [True], [0, False],
+        [np.int64(1)], [0, np.int64(1)], [-1], [5], [0, 5, -1], [0, "1"],
+        [1.0], [0, None]]),
+    "box": (EuclideanBoxSpace([(0.0, 1.0), (-1.0, 1.0)]), [
+        [], [(0.5, -0.0), [0, 0], (0.5, -0.0)], {(1.0, 1.0)},
+        [(1.0 + 1e-10, -1.0 - 1e-10)], [(0.5,)], ["ab"], [(0.5, 0.5), (2.0, 0.0)],
+        [(np.float64(0.25), np.int64(1))], [(True, 0.0)]]),
+}
+
+
+@pytest.mark.parametrize("kind", BULK_CASES)
+def test_validate_elements_equals_the_element_loop(kind):
+    space, inputs = BULK_CASES[kind]
+    for items in inputs:
+        expected = outcome(
+            lambda xs: [space.validate_element(x) for x in xs], items)
+        assert outcome(space.validate_elements, items) == expected, items
+        assert outcome(space.validate_elements, (x for x in items)) == expected
+
+
+def test_graph_pairwise_on_empty_index_lists_keeps_its_shape():
+    graph = GraphSpace([(v, v + 1, 1.0) for v in range(4)])
+    for xs, ys, shape in (([], [0, 1, 2], (0, 3)), ([3, 4], [], (2, 0)),
+                          ([], [], (0, 0))):
+        d = graph.pairwise(xs, ys)
+        assert d.shape == shape and d.dtype == np.float64
+    assert graph.pairwise([4, 0], [1, 1, 3]).tolist() == [[3.0, 3.0, 1.0],
+                                                          [1.0, 1.0, 3.0]]

@@ -46,11 +46,25 @@ def test_point_set_set_algebra():
         PointSet(hs, []), PointSet(hs, []))
 
 
+def test_disjoint_set_algebra_returns_the_empty_set_and_self():
+    for space, xs, ys in ((hamming3(), ["000", "011"], ["111"]),
+                          (GraphSpace([(0, 1, 1.0), (1, 2, 1.0)]), [0], [1, 2]),
+                          (unit_square(), [(0.0, 0.5)], [(1.0, 0.5)]),
+                          (hamming3(), [], ["111"])):
+        a, b = PointSet(space, xs), PointSet(space, ys)
+        assert a.difference(b) is a and b.difference(a) is b
+        for common in (a.intersection(b), b.intersection(a)):
+            assert common == PointSet(space, []) and not common
+        assert symmetric_difference_reduce(a, b) == (a, b)
+
+
 def test_point_set_rejects_cross_space_operations():
     a = PointSet(hamming3(), ["000"])
     b = PointSet(HammingSpace("01", 4), ["0000"])
     with pytest.raises(ValidationError):
         a.intersection(b)
+    with pytest.raises(ValidationError):
+        a.difference(b)
 
 
 def test_chi_cost_identity_is_zero():
