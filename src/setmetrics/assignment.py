@@ -12,8 +12,8 @@ oracle for small square instances.  All three are deterministic: a fixed
 input always yields the same answer.
 
 These entry points check the matrices callers pass in.  The package's
-own distances build valid matrices by construction and call the core,
-``_shortest_augmenting_paths``, directly.
+own distances build valid ones and call ``_solve_shifted``, which runs the
+core, ``_shortest_augmenting_paths``, on the costs less their minimum.
 """
 
 from __future__ import annotations
@@ -78,6 +78,15 @@ def solve_assignment(cost_matrix) -> Assignment:
     optimum is not unique.
     """
     return Assignment(*_shortest_augmenting_paths(_as_cost_array(cost_matrix)))
+
+
+def _solve_shifted(cost: np.ndarray) -> tuple:
+    """``(columns, total)`` for a finite s x t matrix, 1 <= s <= t, of any
+    sign: the core runs on ``cost - low`` for the least entry ``low``, and
+    every injection has s terms, so only the total moves, by s * low."""
+    low = float(cost.min())
+    columns, total = _shortest_augmenting_paths(cost - low)
+    return columns, total + len(columns) * low
 
 
 def _shortest_augmenting_paths(c: np.ndarray) -> tuple:

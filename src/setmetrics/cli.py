@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -52,7 +53,9 @@ def fmt_real(x: float) -> str:
 
 
 def round_real(x: float) -> float:
-    """Value as printed: 9 significant digits."""
+    """Value as printed: 9 significant digits, and finite, as JSON is."""
+    if not math.isfinite(x):
+        raise DomainError(f"distance {x} is not finite: it overflows a float")
     return float(fmt_real(x))
 
 

@@ -19,7 +19,7 @@ import itertools
 
 import numpy as np
 
-from .assignment import _shortest_augmenting_paths
+from .assignment import _solve_shifted
 # Unused here; bound so that perfbench/tracing.py can wrap it by name.
 from .assignment import solve_assignment  # noqa: F401
 from .errors import DomainError, SizeLimitError, ValidationError
@@ -129,11 +129,8 @@ def link_distance(space: Space, a: PointSet, b: PointSet) -> float:
     base = float(row_cheap.sum() + col_cheap.sum())
 
     reduced = np.minimum(d - row_cheap[:, None] - col_cheap[None, :], 0.0)
-    # The solver core takes the entries, here in [0, shift]; shifting
-    # every entry by a constant moves the optimum by len(small) * shift only.
-    shift = float(-reduced.min())
-    _, total = _shortest_augmenting_paths(reduced.T + shift)
-    correction = total - len(small) * shift
+    # Finite, and no taller than wide: valid without solve_injection's checks.
+    _, correction = _solve_shifted(reduced.T)
     return float(base + correction)
 
 

@@ -231,11 +231,11 @@ class EuclideanBoxSpace(Space):
 
     @property
     def diameter(self) -> float:
-        """The length of the box's diagonal; inf when it overflows a float."""
-        try:
-            return math.sqrt(sum((hi - lo) ** 2 for lo, hi in self.bounds))
-        except OverflowError:
-            return math.inf
+        """The distance between far corners, bit for bit; inf on overflow."""
+        squares = 0.0
+        for lo, hi in self.bounds:
+            squares += (hi - lo) * (hi - lo)
+        return math.sqrt(squares)
 
     def validate_element(self, x) -> tuple:
         if isinstance(x, str) or not isinstance(x, Sequence):

@@ -14,7 +14,8 @@ matched to themselves by some optimal injection, so both sets are first
 reduced by their intersection.  Charging every target its penalty up
 front and crediting it back when it is matched turns the remaining
 minimization into a rectangular injection problem, |smaller| x |larger|,
-on the costs d(x, y) - M(y).
+on the costs d(x, y) - M(y).  The value reported is the witness's cost,
+summed as ``chi_distance`` sums it.
 
 A direct enumerator over all injections, with no reduction step, serves
 as the oracle.
@@ -29,7 +30,7 @@ from typing import Iterable, Mapping, Union
 
 import numpy as np
 
-from .assignment import _shortest_augmenting_paths
+from .assignment import _solve_shifted
 # Unused here; bound so that perfbench/tracing.py can wrap it by name.
 from .assignment import solve_assignment  # noqa: F401
 from .errors import SizeLimitError, ValidationError
@@ -213,21 +214,30 @@ def chi_distance(space: Space, penalty: PenaltyFunction, a: PointSet,
         raise ValidationError(
             "injection cost needs |source| <= |target|; swap the arguments")
     pairs = validate_injection(a, b, chi)
-    matched = {y for _, y in pairs}
-    total = 0.0
-    # The matched distances are the diagonals of pairwise over blocks of
-    # the witness.  Each entry depends only on its own pair, so they are
-    # the floats the solver's cost matrix held; a block bounds the entries
-    # computed and not used.
+    # Diagonals of pairwise over blocks of the witness: the floats the
+    # solver's cost matrix held; a block bounds the entries left unused.
+    distances = []
     for i in range(0, len(pairs), _CHI_BLOCK):
         block = pairs[i:i + _CHI_BLOCK]
         square = space.pairwise([x for x, _ in block], [y for _, y in block])
-        for d in np.diagonal(square).tolist():
-            total += d
-    for y, m in zip(b.elements, penalty.values(b.elements).tolist()):
-        if y not in matched:
+        distances += np.diagonal(square).tolist()
+    targets = {y for _, y in pairs}
+    matched = {j for j, y in enumerate(b.elements) if y in targets}
+    return _injection_cost(distances, penalty.values(b.elements).tolist(),
+                           matched)
+
+
+def _injection_cost(distances, penalties, matched) -> float:
+    """Matched distances in source order, then the penalties of target
+    indices not in ``matched``: every reported subset distance is this
+    sum.  Left to right, as built-in ``sum`` compensates from Python 3.12."""
+    total = 0.0
+    for d in distances:
+        total += d
+    for j, m in enumerate(penalties):
+        if j not in matched:
             total += m
-    return float(total)
+    return total
 
 
 def symmetric_difference_reduce(a: PointSet, b: PointSet):
@@ -254,37 +264,19 @@ def subset_distance(space: Space, penalty: PenaltyFunction, a: PointSet,
     common = a.intersection(b)
     reduced_a, reduced_b = symmetric_difference_reduce(a, b)
     source, target, from_a = orient(reduced_a, reduced_b)
-    value, pairs = _solve_reduced(space, penalty, source, target)
-    return SubsetDistanceResult(value, Injection(pairs, value),
-                                reduced_a, reduced_b, common, from_a)
-
-
-def _solve_reduced(space, penalty, source: PointSet, target: PointSet):
-    ns = len(source)
     src, tgt = source.elements, target.elements
     penalties = penalty.values(tgt)
     dist = space.pairwise(src, tgt)
     cols = ()
-    if ns:
-        # Admissibility gives d(x, y) <= M(y), so the costs are <= 0; one
-        # constant shift makes them nonnegative without moving the optimum,
-        # as every injection has exactly ns terms.  With ns <= nt the
-        # matrix is valid by construction, so the solver core takes it.
-        cost = dist - penalties
-        cols, _ = _shortest_augmenting_paths(cost - cost.min())
-
-    # Re-sum in canonical order (matched pairs by source, penalties by
-    # target) so the reported value matches a chi_distance evaluation of
-    # the witness term for term.
-    pairs = tuple((src[i], tgt[cols[i]]) for i in range(ns))
-    matched_cols = set(cols)
-    value = 0.0
-    for i in range(ns):
-        value += dist[i, cols[i]]
-    for j, m in enumerate(penalties.tolist()):
-        if j not in matched_cols:
-            value += m
-    return float(value), pairs
+    if src:
+        # Admissibility makes d - M <= 0; with |src| <= |tgt| the matrix is
+        # valid as built, without the checks solve_injection makes.
+        cols, _ = _solve_shifted(dist - penalties)
+    pairs = tuple((x, tgt[j]) for x, j in zip(src, cols))
+    value = _injection_cost([dist.item(i, j) for i, j in enumerate(cols)],
+                            penalties.tolist(), set(cols))
+    return SubsetDistanceResult(value, Injection(pairs, value),
+                                reduced_a, reduced_b, common, from_a)
 
 
 def brute_force_subset_distance(space: Space, penalty: PenaltyFunction,
@@ -311,8 +303,6 @@ def brute_force_subset_distance(space: Space, penalty: PenaltyFunction,
     penalties = penalty.values(tgt)
     injections = np.array(list(itertools.permutations(range(nt), ns)),
                           dtype=np.intp)
-    if injections.ndim == 1:  # ns == 0 collapses to shape (1,)
-        injections = injections.reshape(1, ns)
     totals = penalties.sum() - penalties[injections].sum(axis=1)
     if ns:
         totals += dist[np.arange(ns), injections].sum(axis=1)

@@ -252,6 +252,23 @@ def test_validate_bad_table_exits_one_with_violations(capsys):
     assert first["distance"] > first["penalty_x"]
 
 
+def test_validate_table_missing_set_elements_skips_axioms(tmp_path, capsys):
+    doc = {"space": {"kind": "graph", "edges": [[0, 1, 1.0], [1, 2, 1.0]]},
+           "m_function": {"variant": "table",
+                          "entries": [[0, 2.0], [1, 2.0]]},
+           "sets": {"A": [0, 2], "B": [1]}}
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps(doc))
+    code, out, _ = run(capsys, "validate", str(path), "--samples", "3")
+    assert code == 1
+    report = json.loads(out)
+    assert report["ok"] is False
+    assert report["coverage"]["ok"] is False
+    assert report["coverage"]["violations"] == [
+        "set 'A' element 2 has no table entry"]
+    assert report["axioms"] is None
+
+
 def test_validate_is_reproducible_per_seed(capsys):
     _, out1, _ = run(capsys, "validate", fx("unit_square.json"),
                      "--seed", "7", "--samples", "30")
@@ -275,6 +292,19 @@ def test_demo_rejects_small_n_max(capsys):
     assert code == 2
     code, _, _ = run(capsys, "demo-incompleteness", "--grid", "2.5")
     assert code == 2
+
+
+@pytest.mark.parametrize("argv, message", (
+    (("validate", fx("hamming_small.json"), "--samples", "x"),
+     "'x' is not an integer"),
+    (("demo-incompleteness", "--grid", "a"),
+     "'a' is not a comma-separated list"),
+), ids=("samples", "grid"))
+def test_malformed_numeric_option_is_usage_error(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert message in err
 
 
 def test_no_command_is_usage_error(capsys):
@@ -344,3 +374,29 @@ def test_bad_graph_is_one_error_line(tmp_path, capsys, graph, reason):
     assert out == ""
     assert err.startswith("error:") and err.count("\n") == 1
     assert reason in err
+
+
+OVERFLOWING_DISTANCE_COMMANDS = {
+    "dist": ("dist", "A", "B"),
+    "matrix": ("matrix",),
+    "matrix json": ("matrix", "--format", "json"),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command", OVERFLOWING_DISTANCE_COMMANDS.values(),
+                         ids=OVERFLOWING_DISTANCE_COMMANDS)
+def test_distance_overflowing_a_float_is_one_error_line(tmp_path, capsys,
+                                                        command):
+    # The graph's diameter is finite, but A's two unmatched penalties
+    # against the empty set add up past the largest float.
+    doc = {"space": {"kind": "graph", "edges": [[0, 1, 1e308]]},
+           "sets": {"A": [0, 1], "B": []}}
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps(doc))
+    name, *rest = command
+    code, out, err = run(capsys, name, str(path), *rest)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "not finite" in err

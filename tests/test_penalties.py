@@ -76,6 +76,21 @@ def test_validate_penalty_catches_growth_violation():
     assert any(v.check == "growth_bound" for v in report.violations)
 
 
+def test_growth_violation_describes_both_sides():
+    ui = unit_interval()
+    table = TablePenalty(ui, [((0.0,), 1.0), ((0.5,), 3.0)])
+    report = validate_penalty(ui, table, [(0.0,), (0.5,)])
+    (violation,) = [v for v in report.violations if v.check == "growth_bound"]
+    assert violation.describe() == (
+        "M((0.5,)) = 3.0 exceeds d((0.5,), (0.0,)) + M((0.0,)) = 1.5")
+
+
+def test_validate_penalty_rejects_a_penalty_of_another_space():
+    with pytest.raises(ValidationError, match="different space"):
+        validate_penalty(unit_interval(), DiameterPenalty(HammingSpace("01", 2)),
+                         [(0.0,)])
+
+
 def test_validate_penalty_needs_a_sample():
     ui = unit_interval()
     with pytest.raises(ValidationError):
@@ -188,6 +203,11 @@ def test_penalty_from_json_structural_errors_are_parse_errors():
                                "entries": [["banana", 1.0]]})
     with pytest.raises(ParseError):
         penalty_from_json(hs, {"variant": "diameter", "value": 3})
+
+
+def test_table_descriptor_needs_entries():
+    with pytest.raises(ParseError, match="needs 'entries'"):
+        penalty_from_json(HammingSpace("01", 2), {"variant": "table"})
 
 
 def test_penalty_from_json_keeps_admissibility_as_validation_error():

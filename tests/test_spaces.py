@@ -165,6 +165,16 @@ def test_graph_rejects_disconnected_and_bad_edges():
         GraphSpace([])
 
 
+@pytest.mark.parametrize("edges, n, message", [
+    ([(0, 1.5, 1.0)], None, "must be integers"),
+    ([(-1, 1, 1.0)], None, "negative vertex id"),
+    ([(0, 2, 1.0)], 2, "exceeds declared vertex count"),
+], ids=("non-integer endpoint", "negative id", "endpoint past the count"))
+def test_graph_rejects_bad_endpoints(edges, n, message):
+    with pytest.raises(ValidationError, match=message):
+        GraphSpace(edges, n)
+
+
 def test_graph_with_overflowing_paths_is_too_wide_not_disconnected():
     with pytest.raises(ValidationError, match="too wide"):
         GraphSpace([(0, 1, 1e308), (1, 2, 1e308)])
@@ -325,12 +335,27 @@ def test_box_diameter_is_inf_only_where_floats_overflow():
         bounds = [sorted(rng.uniform(-1e150, 1e150, size=2) * rng.random())
                   for _ in range(int(rng.integers(1, 5)))]
         box = EuclideanBoxSpace(bounds)
-        expected = math.sqrt(sum((hi - lo) ** 2 for lo, hi in box.bounds))
+        expected = box.distance(tuple(lo for lo, _ in box.bounds),
+                                tuple(hi for _, hi in box.bounds))
         assert box.diameter.hex() == expected.hex()
     for bounds in ([(0.0, 1e200), (0.0, 1e200)], [(-1e308, 1e308)]):
         assert EuclideanBoxSpace(bounds).diameter == math.inf
         with pytest.raises(ParseError, match="too wide"):
             space_from_json({"kind": "euclidean_box", "bounds": bounds})
+
+
+@pytest.mark.parametrize("bounds", (
+    [(0, 804.064), (0, 477.287), (0, 93.118)],
+    [(0.0, 960.647), (0.0, 972.224)],
+))
+def test_box_diameter_is_the_distance_between_far_corners(bounds):
+    # Summing squares from ``**`` with built-in ``sum`` rounds these
+    # diameters one ulp away from the corner distance.
+    box = EuclideanBoxSpace(bounds)
+    low = tuple(lo for lo, _ in box.bounds)
+    high = tuple(hi for _, hi in box.bounds)
+    assert box.diameter.hex() == box.eccentricity(low).hex()
+    assert box.diameter.hex() == box.distance(low, high).hex()
 
 
 class Word(str):

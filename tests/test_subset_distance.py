@@ -109,6 +109,16 @@ def test_chi_cost_rejects_bad_injections():
         chi_distance(hs, pen, b, PointSet(hs, ["000"]), {"011": "000"})
 
 
+def test_validate_injection_rejects_non_pairs_and_repeated_sources():
+    hs = hamming3()
+    a = PointSet(hs, ["000", "001"])
+    b = PointSet(hs, ["011", "111"])
+    with pytest.raises(ValidationError, match="is not a pair"):
+        validate_injection(a, b, [("000", "011", "111"), ("001", "111")])
+    with pytest.raises(ValidationError, match="maps some source twice"):
+        validate_injection(a, b, [("000", "011"), ("000", "111")])
+
+
 def test_validate_injection_accepts_pair_lists_and_injection_records():
     hs = hamming3()
     a = PointSet(hs, ["000"])
