@@ -4,8 +4,11 @@
 (s <= t) to a distinct column at minimum total cost; the t - s columns
 left over are simply unused.  It is a shortest-augmenting-path method
 with dual potentials (Jonker-Volgenant style).  A row whose cheapest column
-is free takes it by that one edge; only the others grow a Dijkstra-like
-tree, its column scan vectorized through numpy: O(s^2 t) at worst.
+is free takes it by that one edge, and so does a row whose cheapest column
+is taken but tied with a free one, which it takes instead (the tie rule of
+Crouse, IEEE TAES 52(4), 2016, that scipy follows).  Only the other rows
+grow a Dijkstra-like tree, its column scan vectorized through numpy:
+O(s^2 t) at worst.
 ``solve_assignment`` is its square special case, returning a
 permutation.  A factorial-time enumerator is provided as an independent
 oracle for small square instances.  All three are deterministic: a fixed
@@ -14,6 +17,7 @@ input always yields the same answer.
 These entry points check the matrices callers pass in.  The package's
 own distances build valid ones and call ``_solve_shifted``, which runs the
 core, ``_shortest_augmenting_paths``, on the costs less their minimum.
+The core returns only the columns; a caller that needs the total sums it.
 """
 
 from __future__ import annotations
@@ -67,7 +71,9 @@ def solve_injection(cost_matrix) -> tuple:
     nonnegative reals with 1 <= s <= t.  Any optimal injection may be
     returned when the optimum is not unique.
     """
-    return _shortest_augmenting_paths(_as_cost_array(cost_matrix, square=False))
+    c = _as_cost_array(cost_matrix, square=False)
+    columns = _shortest_augmenting_paths(c)
+    return columns, _total(c, columns)
 
 
 def solve_assignment(cost_matrix) -> Assignment:
@@ -77,30 +83,50 @@ def solve_assignment(cost_matrix) -> Assignment:
     nonnegative reals.  Any optimal permutation may be returned when the
     optimum is not unique.
     """
-    return Assignment(*_shortest_augmenting_paths(_as_cost_array(cost_matrix)))
+    c = _as_cost_array(cost_matrix)
+    columns = _shortest_augmenting_paths(c)
+    return Assignment(columns, _total(c, columns))
 
 
 def _solve_shifted(cost: np.ndarray) -> tuple:
-    """``(columns, total)`` for a finite s x t matrix, 1 <= s <= t, of any
-    sign: the core runs on ``cost - low`` for the least entry ``low``, and
-    every injection has s terms, so only the total moves, by s * low."""
+    """Columns of a minimum injection for a finite s x t matrix,
+    1 <= s <= t, of any sign: the core runs on ``cost - low`` for the least
+    entry ``low``, which moves every injection's total by s * low alike."""
+    return _shortest_augmenting_paths(cost - cost.min())
+
+
+def _total(c: np.ndarray, columns: tuple) -> float:
+    """Sum of ``c[i, columns[i]]`` over the rows, in row order."""
+    return float(c[np.arange(len(columns)), columns].sum())
+
+
+def _shifted_total(cost: np.ndarray, columns: tuple) -> float:
+    """Total of ``cost`` over the columns ``_solve_shifted`` returned, as
+    the sum of their entries less ``low`` plus s * low: the form the core
+    solved, which can round apart from summing the entries directly."""
     low = float(cost.min())
-    columns, total = _shortest_augmenting_paths(cost - low)
-    return columns, total + len(columns) * low
+    terms = cost[np.arange(len(columns)), columns] - low
+    return float(terms.sum()) + len(columns) * low
 
 
 def _shortest_augmenting_paths(c: np.ndarray) -> tuple:
     """Core of both solvers, on an s x t nonnegative matrix with s <= t
-    that it does not scan.  A row whose cheapest ``c[row] - v`` is finite
-    and free takes that column, leaving ``v`` as it is; only the other rows
-    reset the tree scratch, relax one tree row per step and update duals.
-    Entries that leave no finite path raise ValidationError, not loop."""
+    that it does not scan; returns each row's column.  A row whose
+    cheapest ``c[row] - v`` is finite takes that column if it is free, or
+    else a free column tied with it (Crouse's rule), leaving ``v`` as it
+    is; only the other rows reset the tree scratch, relax one tree row per
+    step and update duals.  Entries that leave no finite path raise
+    ValidationError, not loop."""
     s, t = c.shape
 
     u = [0.0] * s                               # row potentials
     v = np.zeros(t)                             # column potentials
     col_of_row = [-1] * s
     row_of_col = [-1] * t
+    # inf on the columns taken by rows before ``synced``, 0 elsewhere:
+    # brought up to date only for a row whose cheapest column is taken
+    blocked = np.zeros(t)
+    synced = 0
 
     # tree scratch, reused across rows
     dist = np.empty(t)          # tentative path costs; +inf once a column is final
@@ -117,21 +143,28 @@ def _shortest_augmenting_paths(c: np.ndarray) -> tuple:
             col_of_row[start_row], row_of_col[j] = j, start_row
             continue
 
-        dist.fill(np.inf)
-        open_cols.fill(True)
-        parent_row.fill(-1)
-        final_cols, final_costs = [], []    # in order, the last one free
-        base = 0.0                  # path cost of the row being scanned
-        i = start_row
-        while True:
-            # relax every non-final column through row i; reduced holds c[i] - v
-            reduced += base - u[i]
-            np.less(reduced, dist, out=better)
-            better &= open_cols
-            np.copyto(dist, reduced, where=better)
-            np.copyto(parent_row, i, where=better)
+        # rows since the last tree each took one edge and still hold it
+        for r in range(synced, start_row):
+            blocked[col_of_row[r]] = np.inf
+        synced = start_row
+        if abs(base) < np.inf:
+            # a free column tied at the minimum, if any; dist is scratch
+            # until the tree starts
+            np.add(reduced, blocked, out=dist)
             j = int(dist.argmin())
-            base = float(dist[j])
+            if dist[j] == base:
+                u[start_row] += base
+                col_of_row[start_row], row_of_col[j] = j, start_row
+                continue
+
+        # the tree starts from the first relaxation, a NaN counting as no edge
+        np.fmin(reduced, np.inf, out=dist)
+        parent_row.fill(start_row)
+        open_cols.fill(True)
+        final_cols, final_costs = [], []    # in order, the last one free
+        while True:
+            j = int(dist.argmin())
+            base = float(dist[j])   # path cost of the cheapest open column
             if base == np.inf:
                 raise ValidationError("cost matrix entries must be finite")
             final_cols.append(j)
@@ -141,7 +174,13 @@ def _shortest_augmenting_paths(c: np.ndarray) -> tuple:
             i = row_of_col[j]
             if i < 0:
                 break
+            # relax every open column through row i, reached at cost base
             np.subtract(c[i], v, out=reduced)
+            reduced += base - u[i]
+            np.less(reduced, dist, out=better)
+            better &= open_cols
+            np.copyto(dist, reduced, where=better)
+            np.copyto(parent_row, i, where=better)
 
         # dual update keeps reduced costs nonnegative and tree edges tight
         u[start_row] += base
@@ -157,9 +196,10 @@ def _shortest_augmenting_paths(c: np.ndarray) -> tuple:
             j, col_of_row[i] = col_of_row[i], j
             if i == start_row:
                 break
+        blocked[final_cols[-1]] = np.inf
+        synced = start_row + 1
 
-    total = float(c[np.arange(s), col_of_row].sum())
-    return tuple(col_of_row), total
+    return tuple(col_of_row)
 
 
 def brute_force_assignment(cost_matrix) -> Assignment:

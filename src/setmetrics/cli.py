@@ -52,11 +52,16 @@ def fmt_real(x: float) -> str:
     return format(float(x), ".9g")
 
 
-def round_real(x: float) -> float:
-    """Value as printed: 9 significant digits, and finite, as JSON is."""
+def _finite(x: float) -> float:
+    """A distance, refused when it overflowed a float."""
     if not math.isfinite(x):
         raise DomainError(f"distance {x} is not finite: it overflows a float")
-    return float(fmt_real(x))
+    return x
+
+
+def round_real(x: float) -> float:
+    """Value as printed: 9 significant digits, and finite, as JSON is."""
+    return float(fmt_real(_finite(x)))
 
 
 def _load(args) -> Workspace:
@@ -193,7 +198,7 @@ def cmd_validate(args) -> int:
             for j, B in enumerate(pool):
                 if j < i:
                     continue
-                dab = subset_distance(ws.space, ws.penalty, A, B).value
+                dab = _finite(subset_distance(ws.space, ws.penalty, A, B).value)
                 dba = subset_distance(ws.space, ws.penalty, B, A).value
                 dist[i, j] = dist[j, i] = dab
                 pairs_checked += 1

@@ -19,7 +19,7 @@ import itertools
 
 import numpy as np
 
-from .assignment import _solve_shifted
+from .assignment import _shifted_total, _solve_shifted
 # Unused here; bound so that perfbench/tracing.py can wrap it by name.
 from .assignment import solve_assignment  # noqa: F401
 from .errors import DomainError, SizeLimitError, ValidationError
@@ -60,7 +60,9 @@ def sum_min_distance(space: Space, a: PointSet, b: PointSet) -> float:
     nearest element of the other set."""
     _check_pair(space, a, b)
     d = space.pairwise(a.elements, b.elements)
-    return float(0.5 * (d.min(axis=1).sum() + d.min(axis=0).sum()))
+    # a sum past the largest float is inf, for the caller to refuse
+    with np.errstate(over="ignore"):
+        return float(0.5 * (d.min(axis=1).sum() + d.min(axis=0).sum()))
 
 
 def _surjections(n: int, m: int) -> np.ndarray:
@@ -126,11 +128,13 @@ def link_distance(space: Space, a: PointSet, b: PointSet) -> float:
     d = space.pairwise(big.elements, small.elements)
     row_cheap = d.min(axis=1)
     col_cheap = d.min(axis=0)
-    base = float(row_cheap.sum() + col_cheap.sum())
-
     reduced = np.minimum(d - row_cheap[:, None] - col_cheap[None, :], 0.0)
     # Finite, and no taller than wide: valid without solve_injection's checks.
-    _, correction = _solve_shifted(reduced.T)
+    cols = _solve_shifted(reduced.T)
+    # a sum past the largest float is inf, for the caller to refuse
+    with np.errstate(over="ignore"):
+        base = float(row_cheap.sum() + col_cheap.sum())
+        correction = _shifted_total(reduced.T, cols)
     return float(base + correction)
 
 

@@ -271,7 +271,7 @@ def subset_distance(space: Space, penalty: PenaltyFunction, a: PointSet,
     if src:
         # Admissibility makes d - M <= 0; with |src| <= |tgt| the matrix is
         # valid as built, without the checks solve_injection makes.
-        cols, _ = _solve_shifted(dist - penalties)
+        cols = _solve_shifted(dist - penalties)
     pairs = tuple((x, tgt[j]) for x, j in zip(src, cols))
     value = _injection_cost([dist.item(i, j) for i, j in enumerate(cols)],
                             penalties.tolist(), set(cols))

@@ -79,6 +79,20 @@ def test_500_square_under_time_budget():
     assert r.total_cost == pytest.approx(float(c[rows, cols].sum()), abs=1e-9)
 
 
+@pytest.mark.parametrize("shape", [(1000, 1000), (600, 1000)])
+def test_tie_heavy_integers_under_time_budget(shape):
+    # Costs 0-2: most rows find their cheapest column taken by an earlier
+    # row, and a free column tied with it spares them the search tree.
+    rng = np.random.default_rng(sum(shape))
+    c = rng.integers(0, 3, size=shape).astype(float)
+    start = time.perf_counter()
+    cols, total = solve_injection(c)
+    elapsed = time.perf_counter() - start
+    assert elapsed < 1.0
+    assert_is_injection(c, cols, total)
+    assert total == scipy_injection_total(c)
+
+
 def test_rejects_bad_matrices():
     with pytest.raises(ValidationError):
         solve_assignment([[1.0, 2.0]])  # not square
@@ -292,7 +306,8 @@ def test_core_skips_nan_in_a_start_row():
             with pytest.raises(ValidationError, match="finite"):
                 core(c)
             continue
-        cols, total = core(c)
+        cols = core(c)
+        total = float(c[np.arange(s), list(cols)].sum())
         assert not any(np.isnan(c[i, j]) for i, j in enumerate(cols))
         assert_is_injection(c, cols, total)
         assert total == min(finite)

@@ -380,6 +380,7 @@ OVERFLOWING_DISTANCE_COMMANDS = {
     "dist": ("dist", "A", "B"),
     "matrix": ("matrix",),
     "matrix json": ("matrix", "--format", "json"),
+    "validate": ("validate", "--samples", "3"),
 }
 
 
@@ -396,6 +397,26 @@ def test_distance_overflowing_a_float_is_one_error_line(tmp_path, capsys,
     path.write_text(json.dumps(doc))
     name, *rest = command
     code, out, err = run(capsys, name, str(path), *rest)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "not finite" in err
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command", ("dist", "matrix"))
+@pytest.mark.parametrize("metric", ("md", "link"))
+def test_comparison_overflowing_a_float_is_one_error_line(tmp_path, capsys,
+                                                          metric, command):
+    # Five leaves 8e307 from the center of a star: md is 2.4e308 and link
+    # 4e308, past the largest float, though every distance is below it.
+    doc = {"space": {"kind": "graph",
+                     "edges": [[0, leaf, 8e307] for leaf in range(1, 6)]},
+           "sets": {"A": [1, 2, 3, 4, 5], "B": [0]}}
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps(doc))
+    args = ("A", "B") if command == "dist" else ()
+    code, out, err = run(capsys, command, str(path), *args, "--metric", metric)
     assert code == 1
     assert out == ""
     assert err.startswith("error:") and err.count("\n") == 1

@@ -1,12 +1,12 @@
 """Golden answers of the injection solver.
 
-``solver_golden.json`` maps each case name to ``[columns, total.hex()]``
-as returned by the solver core, ``_shortest_augmenting_paths``, on a
-seeded matrix.  ``solve_injection`` must return the same pair on every
-finite case, and the core the same pair or the same error on the
-non-finite ones.  Totals are compared through ``float.hex``, so any
-change to the chosen columns or to the summation shows up here, ties
-included.
+``solver_golden.json`` maps each case name to ``[columns, total.hex()]``:
+the columns the solver core, ``_shortest_augmenting_paths``, returns on a
+seeded matrix and their total, summed in row order.  ``solve_injection``
+must return the same pair on every finite case, and the core the same
+columns, or the same error on the non-finite ones.  Totals are compared
+through ``float.hex``, so any change to the chosen columns or to the
+summation shows up here, ties included.
 
 The matrices are rebuilt from their case names.  Every entry comes from
 ``Generator.integers``/``Generator.random`` and exact IEEE operations,
@@ -76,6 +76,11 @@ def answer(result) -> list:
     return [list(columns), float(total).hex()]
 
 
+def core_answer(c: np.ndarray) -> list:
+    columns = _shortest_augmenting_paths(c)
+    return answer((columns, c[np.arange(len(columns)), list(columns)].sum()))
+
+
 @functools.lru_cache(maxsize=None)
 def _golden():
     return json.loads(GOLDEN.read_text(encoding="utf-8"))
@@ -84,7 +89,7 @@ def _golden():
 @pytest.mark.parametrize("name", sorted(cases()))
 def test_core_and_injection_match_golden(name):
     c = matrix(*cases()[name])
-    assert answer(_shortest_augmenting_paths(c)) == _golden()[name]
+    assert core_answer(c) == _golden()[name]
     assert answer(solve_injection(c)) == _golden()[name]
 
 
@@ -97,7 +102,7 @@ def test_core_on_non_finite_entries_matches_golden(name):
         with pytest.raises(ValidationError, match="finite"):
             _shortest_augmenting_paths(c)
     else:
-        assert answer(_shortest_augmenting_paths(c)) == expected
+        assert core_answer(c) == expected
 
 
 def test_golden_file_has_exactly_the_cases():
@@ -105,11 +110,11 @@ def test_golden_file_has_exactly_the_cases():
 
 
 def _regenerate():
-    golden = {name: answer(_shortest_augmenting_paths(matrix(*key)))
+    golden = {name: core_answer(matrix(*key))
               for name, key in cases().items()}
     for name, rows in NON_FINITE.items():
         try:
-            golden[name] = answer(_shortest_augmenting_paths(np.array(rows)))
+            golden[name] = core_answer(np.array(rows))
         except ValidationError:
             golden[name] = "ValidationError"
     lines = (f" {json.dumps(name)}: {json.dumps(golden[name])}"
