@@ -7,8 +7,7 @@ with dual potentials (Jonker-Volgenant style).  A row whose cheapest column
 is free takes it by that one edge, and so does a row whose cheapest column
 is taken but tied with a free one, which it takes instead (the tie rule of
 Crouse, IEEE TAES 52(4), 2016, that scipy follows).  Only the other rows
-grow a Dijkstra-like tree, its column scan vectorized through numpy:
-O(s^2 t) at worst.
+grow a Dijkstra-like tree: O(s^2 t) at worst.
 ``solve_assignment`` is its square special case, returning a
 permutation.  A factorial-time enumerator is provided as an independent
 oracle for small square instances.  All three are deterministic: a fixed
@@ -18,11 +17,22 @@ These entry points check the matrices callers pass in.  The package's
 own distances build valid ones and call ``_solve_shifted``, which runs the
 core, ``_shortest_augmenting_paths``, on the costs less their minimum.
 The core returns only the columns; a caller that needs the total sums it.
+
+The core has two forms.  On matrices at most ``LIST_CORE_MAX_COLS`` (32)
+wide it runs over Python lists: there numpy's fixed cost per call, paid
+by every tree step on vectors of 3-32 entries, outweighs the arithmetic,
+and lists are about 1.4-3.6x faster on square matrices.  Wider matrices
+run over numpy arrays, whose column scan is vectorized; they win on wide,
+short ones (8 x 64, 2 x 100 and wider) and break even near 64 x 64.  Both
+forms take the first index at a minimum, follow the same rules and do the
+same float operations in the same order, so they return the same columns
+bit for bit; ``tests/test_solver_twins.py`` holds them to it.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +41,9 @@ from .errors import SizeLimitError, ValidationError
 
 #: Largest matrix the permutation enumerator will accept (9! = 362880).
 BRUTE_FORCE_MAX_N = 9
+
+#: Widest matrix the solver core runs over Python lists instead of numpy.
+LIST_CORE_MAX_COLS = 32
 
 
 @dataclass(frozen=True)
@@ -116,7 +129,102 @@ def _shortest_augmenting_paths(c: np.ndarray) -> tuple:
     else a free column tied with it (Crouse's rule), leaving ``v`` as it
     is; only the other rows reset the tree scratch, relax one tree row per
     step and update duals.  Entries that leave no finite path raise
-    ValidationError, not loop."""
+    ValidationError, not loop.
+
+    Matrices at most ``LIST_CORE_MAX_COLS`` wide run over Python lists,
+    wider ones over numpy arrays; both give the same columns."""
+    if c.shape[1] <= LIST_CORE_MAX_COLS:
+        return _paths_over_lists(c)
+    return _paths_over_arrays(c)
+
+
+def _paths_over_lists(c: np.ndarray) -> tuple:
+    """``_paths_over_arrays`` over Python lists, step for step: the first
+    index at a minimum, the same rules, and the same float operations in
+    the same order, so the same columns bit for bit."""
+    rows = c.tolist()
+    s, t = c.shape
+    inf = math.inf
+
+    u = [0.0] * s
+    v = [0.0] * t
+    moved = set()   # columns whose v has changed: elsewhere c - v is c
+    col_of_row = [-1] * s
+    row_of_col = [-1] * t
+
+    for start_row in range(s):
+        reduced = rows[start_row][:]
+        for k in moved:
+            reduced[k] -= v[k]
+        # min skips a NaN unless it comes first, when it gives NaN, so j
+        # and base are numpy's argmin and its entry wherever they are finite
+        base = min(reduced)
+        j = reduced.index(base)
+        if base < inf:
+            if row_of_col[j] < 0:
+                u[start_row] += base
+                col_of_row[start_row], row_of_col[j] = j, start_row
+                continue
+            # the first free column tied at the minimum, if any
+            try:
+                while row_of_col[j] >= 0:
+                    j = reduced.index(base, j + 1)
+            except ValueError:
+                j = -1
+            # a NaN in the row stops numpy's argmin and sends it to the tree
+            if j >= 0 and not math.isnan(sum(reduced)):
+                u[start_row] += base
+                col_of_row[start_row], row_of_col[j] = j, start_row
+                continue
+
+        # the tree starts from the first relaxation, a NaN counting as no edge
+        dist = [x if x < inf else inf for x in reduced]
+        parent_row = [start_row] * t
+        open_cols = list(range(t))
+        final_cols, final_costs = [], []    # in order, the last one free
+        while True:
+            base = min(dist)    # path cost of the cheapest open column
+            if base == inf:
+                raise ValidationError("cost matrix entries must be finite")
+            j = dist.index(base)
+            final_cols.append(j)
+            final_costs.append(base)
+            dist[j] = inf
+            open_cols.remove(j)
+            i = row_of_col[j]
+            if i < 0:
+                break
+            # relax every open column through row i, reached at cost base
+            row, lift = rows[i], base - u[i]
+            for k in open_cols:
+                reached = row[k] - v[k] + lift
+                if reached < dist[k]:
+                    dist[k] = reached
+                    parent_row[k] = i
+
+        # dual update keeps reduced costs nonnegative and tree edges tight;
+        # the free column's v would move by cost - base = 0
+        u[start_row] += base
+        for j, cost in zip(final_cols[:-1], final_costs):
+            u[row_of_col[j]] += base - cost
+            if cost != base:
+                moved.add(j)
+            v[j] += cost - base
+
+        # augment along the alternating path ending at the free column
+        j = final_cols[-1]
+        while True:
+            i = parent_row[j]
+            row_of_col[j] = i
+            j, col_of_row[i] = col_of_row[i], j
+            if i == start_row:
+                break
+
+    return tuple(col_of_row)
+
+
+def _paths_over_arrays(c: np.ndarray) -> tuple:
+    """The core's numpy form, its column scan vectorized over t columns."""
     s, t = c.shape
 
     u = [0.0] * s                               # row potentials

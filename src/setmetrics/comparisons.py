@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import enum
 import itertools
+import math
 
 import numpy as np
 
@@ -62,7 +63,12 @@ def sum_min_distance(space: Space, a: PointSet, b: PointSet) -> float:
     d = space.pairwise(a.elements, b.elements)
     # a sum past the largest float is inf, for the caller to refuse
     with np.errstate(over="ignore"):
-        return float(0.5 * (d.min(axis=1).sum() + d.min(axis=0).sum()))
+        a_to_b, b_to_a = float(d.min(axis=1).sum()), float(d.min(axis=0).sum())
+    total = a_to_b + b_to_a
+    if total == math.inf:
+        # halving first is exact, and overflows only when the answer does
+        return 0.5 * a_to_b + 0.5 * b_to_a
+    return 0.5 * total
 
 
 def _surjections(n: int, m: int) -> np.ndarray:
@@ -133,9 +139,14 @@ def link_distance(space: Space, a: PointSet, b: PointSet) -> float:
     cols = _solve_shifted(reduced.T)
     # a sum past the largest float is inf, for the caller to refuse
     with np.errstate(over="ignore"):
-        base = float(row_cheap.sum() + col_cheap.sum())
+        row_total, col_total = float(row_cheap.sum()), float(col_cheap.sum())
         correction = _shifted_total(reduced.T, cols)
-    return float(base + correction)
+    base = row_total + col_total
+    if base == math.inf:
+        # the answer is at least col_total, so row_total + correction >= 0:
+        # added in this order, the sum overflows only when the answer does
+        return row_total + correction + col_total
+    return base + correction
 
 
 def brute_force_link_distance(space: Space, a: PointSet, b: PointSet) -> float:

@@ -421,3 +421,23 @@ def test_comparison_overflowing_a_float_is_one_error_line(tmp_path, capsys,
     assert out == ""
     assert err.startswith("error:") and err.count("\n") == 1
     assert "not finite" in err
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command", ("dist", "matrix"))
+@pytest.mark.parametrize("metric", ("md", "link"))
+def test_comparison_summing_past_the_largest_float_on_its_way(tmp_path, capsys,
+                                                              metric, command):
+    # Both metrics are 1e308 here, though their two one-sided sums add up
+    # to 2e308 before md halves them and link subtracts its correction.
+    doc = {"space": {"kind": "graph", "edges": [[0, 1, 1e308]]},
+           "sets": {"A": [0], "B": [1]}}
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps(doc))
+    args = ("A", "B") if command == "dist" else ()
+    code, out, err = run(capsys, command, str(path), *args, "--metric", metric)
+    assert code == 0
+    assert err == ""
+    if command == "dist":
+        assert json.loads(out)["value"] == 1e308
+    assert "1e+308" in out

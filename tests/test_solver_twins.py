@@ -1,0 +1,136 @@
+"""The two forms of the solver core return the same columns.
+
+``_shortest_augmenting_paths`` runs matrices at most
+``LIST_CORE_MAX_COLS`` wide over Python lists (``_paths_over_lists``) and
+wider ones over numpy arrays (``_paths_over_arrays``).  Both follow the
+same rules with the same float operations, so on every matrix they pick
+the same columns, or raise the same error.  These tests call both forms
+directly, on either side of the cut-over, so neither the golden files nor
+any witness depends on which form ran.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+import setmetrics.assignment as assignment
+from setmetrics import ValidationError
+from setmetrics.assignment import (LIST_CORE_MAX_COLS, _paths_over_arrays,
+                                   _paths_over_lists)
+from test_solver_golden import NON_FINITE, cases, matrix
+
+WIDTH = LIST_CORE_MAX_COLS
+
+
+def outcome(core, c):
+    """The columns ``core`` returns on ``c``, or the error it raises."""
+    try:
+        return core(c)
+    except ValidationError as err:
+        return ("ValidationError", str(err))
+
+
+def assert_twins_agree(c):
+    lists = outcome(_paths_over_lists, c)
+    assert lists == outcome(_paths_over_arrays, c)
+    return lists
+
+
+@pytest.mark.parametrize("name", sorted(name for name, (_, _, t, _)
+                                        in cases().items() if t <= WIDTH))
+def test_twins_agree_on_golden_cases_within_the_cut_over(name):
+    assert_twins_agree(matrix(*cases()[name]))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("name", sorted(NON_FINITE))
+def test_twins_agree_on_non_finite_golden_cases(name):
+    assert_twins_agree(np.array(NON_FINITE[name]))
+
+
+def seeded_matrix(rng, kind, shape):
+    if kind == "int3":
+        return rng.integers(0, 3, size=shape).astype(float)
+    if kind == "int21":
+        return rng.integers(0, 21, size=shape).astype(float)
+    if kind == "uniform":
+        return rng.random(shape)
+    if kind == "spread":
+        return rng.random(shape) * 10.0 ** rng.integers(-6, 10, size=shape)
+    # integers with missing edges: NaN or inf entries, and some -0.0
+    c = rng.integers(0, 4, size=shape).astype(float)
+    c[rng.random(shape) < 0.15] = np.nan if kind == "nan" else np.inf
+    c[rng.random(shape) < 0.1] = -0.0
+    return c
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("t", (WIDTH, WIDTH + 1))
+@pytest.mark.parametrize("kind",
+                         ("int3", "int21", "uniform", "spread", "nan", "inf"))
+def test_twins_agree_on_seeded_matrices_at_the_cut_over(kind, t):
+    rng = np.random.default_rng([t, len(kind)])
+    for s in (1, 2, t // 4, t // 2, t - 1, t):
+        for _ in range(4):
+            assert_twins_agree(seeded_matrix(rng, kind, (s, t)))
+
+
+#: Tenths on which a tree finalizes a column at a path cost above the one
+#: it ends at, by rounding: that column's potential rises, not falls.
+RISING_POTENTIAL = np.array([[19, 29, 9, 26, 9, 29, 9],
+                             [5, 23, 30, 18, 0, 2, 1],
+                             [7, 20, 3, 20, 18, 26, 23],
+                             [27, 28, 2, 12, 10, 6, 14],
+                             [15, 1, 19, 13, 8, 3, 13],
+                             [4, 27, 25, 24, 2, 21, 18]]) / 10
+
+
+def test_twins_round_alike_on_decimal_fractions():
+    assert assert_twins_agree(RISING_POTENTIAL) == (6, 5, 0, 2, 1, 4)
+    # Tenths are inexact in binary: path costs added in another order round
+    # apart and, on about one near-square matrix in ten, pick other columns.
+    rng = np.random.default_rng(10)
+    for _ in range(200):
+        t = int(rng.integers(8, WIDTH + 1))
+        s = int(rng.integers(t - 3, t + 1))
+        assert_twins_agree(rng.integers(0, 31, size=(s, t)) / 10)
+
+
+def test_the_cut_over_is_on_width(monkeypatch):
+    ran = []
+    monkeypatch.setattr(assignment, "_paths_over_lists",
+                        lambda c: ran.append("lists"))
+    monkeypatch.setattr(assignment, "_paths_over_arrays",
+                        lambda c: ran.append("arrays"))
+    for shape in ((1, WIDTH), (WIDTH, WIDTH), (1, WIDTH + 1)):
+        assignment._shortest_augmenting_paths(np.zeros(shape))
+    assert ran == ["lists", "lists", "arrays"]
+
+
+ENTRIES = {
+    "integers 0-2": st.integers(0, 2).map(float),
+    "integers 0-20": st.integers(0, 20).map(float),
+    "uniform reals": st.floats(0.0, 1.0),
+    "1e-6 to 1e9": st.floats(1e-6, 1e9),
+}
+
+
+@st.composite
+def cost_matrices(draw):
+    """s x t with 1 <= s <= t <= the cut-over: all-equal costs, or
+    entries of one of ``ENTRIES``."""
+    t = draw(st.integers(1, WIDTH))
+    s = draw(st.integers(1, t))
+    kind = draw(st.sampled_from(["all equal", *ENTRIES]))
+    if kind == "all equal":
+        return np.full((s, t), draw(st.floats(0.0, 1e9)))
+    return draw(arrays(float, (s, t), elements=ENTRIES[kind]))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(cost_matrices())
+def test_twins_agree_on_generated_matrices(c):
+    columns = assert_twins_agree(c)
+    assert sorted(set(columns)) == sorted(columns)
