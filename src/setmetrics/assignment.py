@@ -13,10 +13,12 @@ permutation.  A factorial-time enumerator is provided as an independent
 oracle for small square instances.  All three are deterministic: a fixed
 input always yields the same answer.
 
-These entry points check the matrices callers pass in.  The package's
-own distances build valid ones and call ``_solve_shifted``, which runs the
-core, ``_shortest_augmenting_paths``, on the costs less their minimum.
-The core returns only the columns; a caller that needs the total sums it.
+The core, ``_shortest_augmenting_paths``, takes finite entries only, as
+Crouse's solver does, and does not check them: the entry points above
+check the matrices callers pass in, and ``_solve_shifted``, through which
+the package's own distances reach the core, refuses non-finite ones
+before it runs the core on the costs less their minimum.  The core
+returns only the columns; a caller that needs the total sums it.
 
 The core has two forms.  On matrices at most ``LIST_CORE_MAX_COLS`` (32)
 wide it runs over Python lists: there numpy's fixed cost per call, paid
@@ -102,10 +104,15 @@ def solve_assignment(cost_matrix) -> Assignment:
 
 
 def _solve_shifted(cost: np.ndarray) -> tuple:
-    """Columns of a minimum injection for a finite s x t matrix,
-    1 <= s <= t, of any sign: the core runs on ``cost - low`` for the least
-    entry ``low``, which moves every injection's total by s * low alike."""
-    return _shortest_augmenting_paths(cost - cost.min())
+    """Columns of a minimum injection for an s x t matrix, 1 <= s <= t, of
+    any sign: the core runs on ``cost - low`` for the least entry ``low``,
+    which moves every injection's total by s * low alike.  Raises
+    ValidationError, with no warning, unless the spread of the entries,
+    and so every entry, is finite."""
+    low = float(cost.min())
+    if not math.isfinite(float(cost.max()) - low):
+        raise ValidationError("cost matrix entries must be finite")
+    return _shortest_augmenting_paths(cost - low)
 
 
 def _total(c: np.ndarray, columns: tuple) -> float:
@@ -123,13 +130,13 @@ def _shifted_total(cost: np.ndarray, columns: tuple) -> float:
 
 
 def _shortest_augmenting_paths(c: np.ndarray) -> tuple:
-    """Core of both solvers, on an s x t nonnegative matrix with s <= t
-    that it does not scan; returns each row's column.  A row whose
-    cheapest ``c[row] - v`` is finite takes that column if it is free, or
-    else a free column tied with it (Crouse's rule), leaving ``v`` as it
-    is; only the other rows reset the tree scratch, relax one tree row per
-    step and update duals.  Entries that leave no finite path raise
-    ValidationError, not loop.
+    """Core of both solvers, on an s x t matrix of finite nonnegative
+    entries with s <= t, which it does not check; returns each row's
+    column.  A row takes its cheapest column of ``c[row] - v`` if it is
+    free, or else a free column tied with it (Crouse's rule), leaving ``v``
+    as it is; only the other rows reset the tree scratch, relax one tree
+    row per step and update duals.  Should the arithmetic leave no finite
+    path, it raises ValidationError rather than loop.
 
     Matrices at most ``LIST_CORE_MAX_COLS`` wide run over Python lists,
     wider ones over numpy arrays; both give the same columns."""
@@ -156,29 +163,21 @@ def _paths_over_lists(c: np.ndarray) -> tuple:
         reduced = rows[start_row][:]
         for k in moved:
             reduced[k] -= v[k]
-        # min skips a NaN unless it comes first, when it gives NaN, so j
-        # and base are numpy's argmin and its entry wherever they are finite
+        # one edge, leaving v as it is: the first column at the minimum if
+        # it is free, or else the first free one tied with it (Crouse's rule)
         base = min(reduced)
         j = reduced.index(base)
-        if base < inf:
-            if row_of_col[j] < 0:
-                u[start_row] += base
-                col_of_row[start_row], row_of_col[j] = j, start_row
-                continue
-            # the first free column tied at the minimum, if any
-            try:
-                while row_of_col[j] >= 0:
-                    j = reduced.index(base, j + 1)
-            except ValueError:
-                j = -1
-            # a NaN in the row stops numpy's argmin and sends it to the tree
-            if j >= 0 and not math.isnan(sum(reduced)):
-                u[start_row] += base
-                col_of_row[start_row], row_of_col[j] = j, start_row
-                continue
+        try:
+            while row_of_col[j] >= 0:
+                j = reduced.index(base, j + 1)
+        except ValueError:
+            j = -1
+        if j >= 0:
+            u[start_row] += base
+            col_of_row[start_row], row_of_col[j] = j, start_row
+            continue
 
-        # the tree starts from the first relaxation, a NaN counting as no edge
-        dist = [x if x < inf else inf for x in reduced]
+        dist = reduced      # the tree starts from the first relaxation
         parent_row = [start_row] * t
         open_cols = list(range(t))
         final_cols, final_costs = [], []    # in order, the last one free
@@ -246,7 +245,7 @@ def _paths_over_arrays(c: np.ndarray) -> tuple:
         reduced = c[start_row] - v  # the first relaxation: u[start_row] is 0
         j = int(reduced.argmin())
         base = float(reduced[j])
-        if abs(base) < np.inf and row_of_col[j] < 0:
+        if row_of_col[j] < 0:
             u[start_row] += base
             col_of_row[start_row], row_of_col[j] = j, start_row
             continue
@@ -255,18 +254,16 @@ def _paths_over_arrays(c: np.ndarray) -> tuple:
         for r in range(synced, start_row):
             blocked[col_of_row[r]] = np.inf
         synced = start_row
-        if abs(base) < np.inf:
-            # a free column tied at the minimum, if any; dist is scratch
-            # until the tree starts
-            np.add(reduced, blocked, out=dist)
-            j = int(dist.argmin())
-            if dist[j] == base:
-                u[start_row] += base
-                col_of_row[start_row], row_of_col[j] = j, start_row
-                continue
+        # a free column tied at the minimum, if any; dist is scratch until
+        # the tree starts
+        np.add(reduced, blocked, out=dist)
+        j = int(dist.argmin())
+        if dist[j] == base:
+            u[start_row] += base
+            col_of_row[start_row], row_of_col[j] = j, start_row
+            continue
 
-        # the tree starts from the first relaxation, a NaN counting as no edge
-        np.fmin(reduced, np.inf, out=dist)
+        np.copyto(dist, reduced)    # the tree starts from the first relaxation
         parent_row.fill(start_row)
         open_cols.fill(True)
         final_cols, final_costs = [], []    # in order, the last one free

@@ -17,6 +17,7 @@ the decimal separator.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import math
 import sys
@@ -133,9 +134,12 @@ def cmd_matrix(args) -> int:
         print(json.dumps({"metric": args.metric, "names": names,
                           "values": values}, indent=2))
     else:
-        print("," + ",".join(names))
+        out = csv.writer(sys.stdout, lineterminator="\n")
+        # an empty corner cell, written bare: with no sets the header is ","
+        sys.stdout.write(",")
+        out.writerow(names)
         for name, row in zip(names, values):
-            print(name + "," + ",".join(fmt_real(v) for v in row))
+            out.writerow([name, *(fmt_real(v) for v in row)])
     return 0
 
 

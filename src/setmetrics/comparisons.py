@@ -135,7 +135,8 @@ def link_distance(space: Space, a: PointSet, b: PointSet) -> float:
     row_cheap = d.min(axis=1)
     col_cheap = d.min(axis=0)
     reduced = np.minimum(d - row_cheap[:, None] - col_cheap[None, :], 0.0)
-    # Finite, and no taller than wide: valid without solve_injection's checks.
+    # No taller than wide, so valid without solve_injection's checks;
+    # _solve_shifted refuses it if a distance overflowed to inf.
     cols = _solve_shifted(reduced.T)
     # a sum past the largest float is inf, for the caller to refuse
     with np.errstate(over="ignore"):

@@ -10,7 +10,7 @@ i.e. M(x) dominates every distance out of x, and M varies by at most the
 distance between evaluation points.  The built-in variants are admissible
 by construction:
 
-* ``constant`` with any value >= the space diameter,
+* ``constant`` with any positive value >= the space diameter,
 * ``diameter``, the constant equal to the diameter,
 * ``eccentricity``, M(x) = largest distance from x (the pointwise-least
   admissible choice),
@@ -76,12 +76,12 @@ class PenaltyFunction:
 
 
 class ConstantPenalty(PenaltyFunction):
-    """A constant penalty; admissible iff the constant covers the diameter."""
+    """A constant penalty; admissible iff it is positive and covers the
+    diameter, so also on a one-point space."""
 
     variant = "constant"
 
     def __init__(self, space: Space, value: float):
-        super().__init__(space)
         c = float(value)
         if not math.isfinite(c):
             raise ValidationError("constant penalty must be finite")
@@ -89,6 +89,10 @@ class ConstantPenalty(PenaltyFunction):
             raise ValidationError(
                 f"constant penalty {c} is below the space diameter "
                 f"{space.diameter}; admissibility cannot be certified")
+        if c <= 0:
+            raise ValidationError(
+                f"constant penalty must be positive, got {c}")
+        self.space = space
         self.constant = c
 
     def value(self, x) -> float:

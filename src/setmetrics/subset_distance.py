@@ -269,8 +269,8 @@ def subset_distance(space: Space, penalty: PenaltyFunction, a: PointSet,
     dist = space.pairwise(src, tgt)
     cols = ()
     if src:
-        # Admissibility makes d - M <= 0; with |src| <= |tgt| the matrix is
-        # valid as built, without the checks solve_injection makes.
+        # No taller than wide, so valid without solve_injection's checks;
+        # _solve_shifted refuses entries whose spread overflows a float.
         cols = _solve_shifted(dist - penalties)
     pairs = tuple((x, tgt[j]) for x, j in zip(src, cols))
     value = _injection_cost([dist.item(i, j) for i, j in enumerate(cols)],

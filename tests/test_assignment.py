@@ -287,27 +287,23 @@ def test_injection_on_forced_paths_matches_enumeration(path):
             assert total == pytest.approx(best, abs=1e-9)
 
 
-def test_core_skips_nan_in_a_start_row():
-    # The core never relaxes a column through a NaN entry, so a NaN acts as
-    # a missing edge: the answer is the best injection over finite entries,
-    # and a row left with no finite path raises.
-    core = setmetrics.assignment._shortest_augmenting_paths
-    rng = np.random.default_rng(67)
-    for trial in range(300):
-        t = int(rng.integers(1, 7))
-        s = int(rng.integers(1, t + 1))
-        c = rng.integers(0, 4, size=(s, t)).astype(float)
-        for i in rng.choice(s, size=int(rng.integers(1, s + 1)), replace=False):
-            c[i, rng.integers(0, t)] = np.nan
-        finite = [sum(c[i, j] for i, j in enumerate(chi))
-                  for chi in itertools.permutations(range(t), s)
-                  if not any(np.isnan(c[i, j]) for i, j in enumerate(chi))]
-        if not finite:
-            with pytest.raises(ValidationError, match="finite"):
-                core(c)
-            continue
-        cols = core(c)
-        total = float(c[np.arange(s), list(cols)].sum())
-        assert not any(np.isnan(c[i, j]) for i, j in enumerate(cols))
-        assert_is_injection(c, cols, total)
-        assert total == min(finite)
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("rows", ([[0.0, np.nan]], [[np.inf, 1.0]],
+                                  [[-np.inf, 1.0]], [[np.inf, np.inf]],
+                                  [[-1.7e308, 1e308]]))
+def test_solve_shifted_refuses_non_finite_costs_without_a_warning(rows):
+    # The one check between the package's distances and the core: every
+    # entry, and their spread, must be finite.
+    with pytest.raises(ValidationError, match="finite"):
+        setmetrics.assignment._solve_shifted(np.array(rows))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_costs_spread_past_the_largest_float_raise():
+    # An uncertified, inadmissible table whose costs d - M run from
+    # -1.7e308 to 1e308: shifting them by their minimum would overflow.
+    graph = GraphSpace([(0, 1, 1.0), (1, 2, 1e308)])
+    table = TablePenalty(graph, {0: 0.0, 1: 1.7e308, 2: 0.0})
+    with pytest.raises(ValidationError, match="finite"):
+        subset_distance(graph, table, PointSet(graph, [0]),
+                        PointSet(graph, [1, 2]))

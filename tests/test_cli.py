@@ -1,5 +1,7 @@
 """End-to-end command-line behavior via main(argv)."""
 
+import csv
+import io
 import json
 import math
 from pathlib import Path
@@ -146,6 +148,29 @@ def test_dist_text_mode(capsys):
     assert report["agree"] is True
 
 
+def test_dist_text_mode_on_single_symbol_words(tmp_path, capsys):
+    # Words in one symbol: a space of diameter 0, where a positive
+    # constant penalty is still admissible.
+    path = tmp_path / "unary.txt"
+    path.write_text("AAAA\n\nAAAA\n")
+    code, out, _ = run(capsys, "dist", str(path), "set_1", "set_2", "--text",
+                       "--oracle")
+    assert code == 0
+    assert json.loads(out)["value"] == 0.0
+
+
+def test_constant_zero_penalty_is_refused_on_a_narrow_box(tmp_path, capsys):
+    path = tmp_path / "narrow.json"
+    path.write_text(json.dumps({
+        "space": {"kind": "euclidean_box", "bounds": [[0, 1e-12]]},
+        "m_function": {"variant": "constant", "value": 0},
+        "sets": {"A": [[0]], "B": []}}))
+    for argv in (("dist", str(path), "A", "B"), ("validate", str(path))):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert "positive" in err
+
+
 def test_duplicate_elements_notice_goes_to_stderr(tmp_path, capsys):
     doc = tmp_path / "dup.json"
     doc.write_text('{"space": {"kind": "hamming", "alphabet": "01",'
@@ -226,6 +251,20 @@ def test_matrix_certifies_a_table_penalty_once(tmp_path, monkeypatch, capsys):
     code, out, _ = run(capsys, "matrix", str(path))
     assert (code, out) == (0, ",\n")
     assert len(calls) == 1
+
+
+def test_matrix_csv_round_trips_set_names(tmp_path, capsys):
+    names = ["a,b", 'say "hi"', "C", "two\nlines"]
+    path = tmp_path / "names.json"
+    path.write_text(json.dumps({
+        "space": {"kind": "hamming", "alphabet": "01", "length": 2},
+        "sets": {name: [f"{i % 4:02b}"] for i, name in enumerate(names)}}))
+    code, out, _ = run(capsys, "matrix", str(path))
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out)))
+    assert rows[0] == ["", *names]
+    assert [row[0] for row in rows[1:]] == names
+    assert all(len(row) == len(names) + 1 for row in rows)
 
 
 def test_validate_good_fixtures_exit_zero(capsys):

@@ -9,7 +9,7 @@ from setmetrics import (ConstantPenalty, DiameterPenalty, EccentricityPenalty,
                         EuclideanBoxSpace, GraphSpace, HammingSpace,
                         ParseError, TablePenalty, ValidationError,
                         parse_penalty_spec, penalty_from_json,
-                        validate_penalty)
+                        sequence_subset_distance, validate_penalty)
 
 from generators import count_validations, space_family, unit_interval
 
@@ -40,11 +40,33 @@ def test_eccentricity_on_unit_interval():
 def test_penalties_reject_single_element_spaces():
     lonely = GraphSpace([(0, 1, 1.0)])  # fine: two vertices
     DiameterPenalty(lonely)
-    unary = HammingSpace("a", 2)  # diameter 0: no admissible penalty exists
+    unary = HammingSpace("a", 2)  # diameter 0: admits only constants > 0
     with pytest.raises(ValidationError):
         DiameterPenalty(unary)
     with pytest.raises(ValidationError):
         EccentricityPenalty(unary)
+
+
+def test_positive_constant_on_a_one_point_space():
+    unary = HammingSpace("A", 4)
+    assert ConstantPenalty(unary, 4.0).value("AAAA") == 4.0
+    assert sequence_subset_distance("A", 4, ["AAAA"], []) == 4.0
+    for penalty in (DiameterPenalty, EccentricityPenalty):
+        with pytest.raises(ValidationError, match="at least two elements"):
+            penalty(unary)
+    with pytest.raises(ValidationError, match="at least two elements"):
+        TablePenalty(unary, {"AAAA": 4.0})
+
+
+def test_constant_zero_is_refused_on_every_space():
+    # With M = 0 a nonempty set lies at distance 0 from the empty set.
+    narrow = EuclideanBoxSpace([(0.0, 1e-12)])
+    for space in (narrow, HammingSpace("A", 4)):
+        with pytest.raises(ValidationError, match="positive"):
+            ConstantPenalty(space, 0.0)
+    with pytest.raises(ValidationError, match="positive"):
+        ConstantPenalty(narrow, -1e-10)
+    assert ConstantPenalty(narrow, 1e-12).constant == 1e-12
 
 
 def test_builtin_penalties_are_admissible_on_samples():

@@ -3,10 +3,9 @@
 ``solver_golden.json`` maps each case name to ``[columns, total.hex()]``:
 the columns the solver core, ``_shortest_augmenting_paths``, returns on a
 seeded matrix and their total, summed in row order.  ``solve_injection``
-must return the same pair on every finite case, and the core the same
-columns, or the same error on the non-finite ones.  Totals are compared
-through ``float.hex``, so any change to the chosen columns or to the
-summation shows up here, ties included.
+must return the same pair on every case, and the core the same columns.
+Totals are compared through ``float.hex``, so any change to the chosen
+columns or to the summation shows up here, ties included.
 
 The matrices are rebuilt from their case names.  Every entry comes from
 ``Generator.integers``/``Generator.random`` and exact IEEE operations,
@@ -30,13 +29,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from setmetrics import ValidationError
 from setmetrics.assignment import _shortest_augmenting_paths, solve_injection
 
 HERE = Path(__file__).resolve().parent
 GOLDEN = HERE / "solver_golden.json"
-
-NAN, INF = float("nan"), float("inf")
 
 #: (rows, columns, seeds per kind)
 SHAPES = ((1, 1, 6), (1, 9, 8), (3, 8, 7), (8, 148, 10), (40, 150, 4),
@@ -44,13 +40,6 @@ SHAPES = ((1, 1, 6), (1, 9, 8), (3, 8, 7), (8, 148, 10), (40, 150, 4),
           (60, 60, 3), (12, 40, 5), (30, 31, 3), (7, 60, 6))
 KINDS = ("int3", "equal", "uniform", "spread")
 TENS = np.array([float(f"1e{k}") for k in range(-6, 10)])
-
-#: Non-finite entries the core meets without its caller's checks.
-NON_FINITE = {
-    "nan beside a finite optimum": [[0.0, NAN]],
-    "nan in a start row": [[NAN, 1.0], [2.0, 0.0]],
-    "no finite path": [[INF, NAN]],
-}
 
 
 def matrix(kind: str, s: int, t: int, seed: int) -> np.ndarray:
@@ -65,7 +54,7 @@ def matrix(kind: str, s: int, t: int, seed: int) -> np.ndarray:
 
 
 def cases() -> dict:
-    """Every finite golden case, by name."""
+    """Every golden case, by name."""
     return {f"{kind} {s}x{t} #{seed}": (kind, s, t, seed)
             for s, t, seeds in SHAPES for kind in KINDS
             for seed in range(seeds)}
@@ -93,30 +82,13 @@ def test_core_and_injection_match_golden(name):
     assert answer(solve_injection(c)) == _golden()[name]
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-@pytest.mark.parametrize("name", sorted(NON_FINITE))
-def test_core_on_non_finite_entries_matches_golden(name):
-    c = np.array(NON_FINITE[name])
-    expected = _golden()[name]
-    if expected == "ValidationError":
-        with pytest.raises(ValidationError, match="finite"):
-            _shortest_augmenting_paths(c)
-    else:
-        assert core_answer(c) == expected
-
-
 def test_golden_file_has_exactly_the_cases():
-    assert sorted(_golden()) == sorted([*cases(), *NON_FINITE])
+    assert sorted(_golden()) == sorted(cases())
 
 
 def _regenerate():
     golden = {name: core_answer(matrix(*key))
               for name, key in cases().items()}
-    for name, rows in NON_FINITE.items():
-        try:
-            golden[name] = core_answer(np.array(rows))
-        except ValidationError:
-            golden[name] = "ValidationError"
     lines = (f" {json.dumps(name)}: {json.dumps(golden[name])}"
              for name in sorted(golden))
     GOLDEN.write_text("{\n" + ",\n".join(lines) + "\n}\n", encoding="utf-8")

@@ -3,8 +3,8 @@
 ``_shortest_augmenting_paths`` runs matrices at most
 ``LIST_CORE_MAX_COLS`` wide over Python lists (``_paths_over_lists``) and
 wider ones over numpy arrays (``_paths_over_arrays``).  Both follow the
-same rules with the same float operations, so on every matrix they pick
-the same columns, or raise the same error.  These tests call both forms
+same rules with the same float operations, so on every matrix of finite
+entries they pick the same columns.  These tests call both forms
 directly, on either side of the cut-over, so neither the golden files nor
 any witness depends on which form ran.
 """
@@ -16,25 +16,16 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import setmetrics.assignment as assignment
-from setmetrics import ValidationError
 from setmetrics.assignment import (LIST_CORE_MAX_COLS, _paths_over_arrays,
                                    _paths_over_lists)
-from test_solver_golden import NON_FINITE, cases, matrix
+from test_solver_golden import cases, matrix
 
 WIDTH = LIST_CORE_MAX_COLS
 
 
-def outcome(core, c):
-    """The columns ``core`` returns on ``c``, or the error it raises."""
-    try:
-        return core(c)
-    except ValidationError as err:
-        return ("ValidationError", str(err))
-
-
 def assert_twins_agree(c):
-    lists = outcome(_paths_over_lists, c)
-    assert lists == outcome(_paths_over_arrays, c)
+    lists = _paths_over_lists(c)
+    assert lists == _paths_over_arrays(c)
     return lists
 
 
@@ -44,12 +35,6 @@ def test_twins_agree_on_golden_cases_within_the_cut_over(name):
     assert_twins_agree(matrix(*cases()[name]))
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-@pytest.mark.parametrize("name", sorted(NON_FINITE))
-def test_twins_agree_on_non_finite_golden_cases(name):
-    assert_twins_agree(np.array(NON_FINITE[name]))
-
-
 def seeded_matrix(rng, kind, shape):
     if kind == "int3":
         return rng.integers(0, 3, size=shape).astype(float)
@@ -57,24 +42,30 @@ def seeded_matrix(rng, kind, shape):
         return rng.integers(0, 21, size=shape).astype(float)
     if kind == "uniform":
         return rng.random(shape)
-    if kind == "spread":
-        return rng.random(shape) * 10.0 ** rng.integers(-6, 10, size=shape)
-    # integers with missing edges: NaN or inf entries, and some -0.0
-    c = rng.integers(0, 4, size=shape).astype(float)
-    c[rng.random(shape) < 0.15] = np.nan if kind == "nan" else np.inf
-    c[rng.random(shape) < 0.1] = -0.0
-    return c
+    return rng.random(shape) * 10.0 ** rng.integers(-6, 10, size=shape)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("t", (WIDTH, WIDTH + 1))
-@pytest.mark.parametrize("kind",
-                         ("int3", "int21", "uniform", "spread", "nan", "inf"))
+@pytest.mark.parametrize("kind", ("int3", "int21", "uniform", "spread"))
 def test_twins_agree_on_seeded_matrices_at_the_cut_over(kind, t):
     rng = np.random.default_rng([t, len(kind)])
     for s in (1, 2, t // 4, t // 2, t - 1, t):
         for _ in range(4):
             assert_twins_agree(seeded_matrix(rng, kind, (s, t)))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("t", (WIDTH, WIDTH + 1))
+def test_twins_agree_on_costs_up_to_the_largest_float(t):
+    # Path costs overflow to inf at this scale, which numpy warns of and
+    # Python floats do not; both forms still pick the same columns.
+    rng = np.random.default_rng([t, 308])
+    for s in (1, 2, t // 4, t // 2, t - 1, t):
+        for _ in range(4):
+            huge = rng.random((s, t)) * 1.7e308
+            small = rng.integers(0, 3, size=(s, t)).astype(float)
+            assert_twins_agree(huge)
+            assert_twins_agree(np.where(rng.random((s, t)) < 0.5, huge, small))
 
 
 #: Tenths on which a tree finalizes a column at a path cost above the one
