@@ -36,6 +36,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -103,12 +104,27 @@ def solve_assignment(cost_matrix) -> Assignment:
     return Assignment(columns, _total(c, columns))
 
 
-def _solve_shifted(cost: np.ndarray) -> tuple:
+def _solve_shifted(cost) -> tuple:
     """Columns of a minimum injection for an s x t matrix, 1 <= s <= t, of
-    any sign: the core runs on ``cost - low`` for the least entry ``low``,
+    any sign: the core runs on the costs less their least entry ``low``,
     which moves every injection's total by s * low alike.  Raises
     ValidationError, with no warning, unless the spread of the entries,
-    and so every entry, is finite."""
+    and so every entry, is finite.
+
+    ``cost`` is a numpy array or a list of s rows of floats.  Rows at most
+    ``LIST_CORE_MAX_COLS`` wide are shifted over Python lists, with no
+    numpy call; arrays are shifted by numpy, which is the faster of the
+    two on an array even that narrow."""
+    if isinstance(cost, list) and len(cost[0]) <= LIST_CORE_MAX_COLS:
+        low = min(chain.from_iterable(cost))
+        if math.isfinite(max(chain.from_iterable(cost)) - low):
+            shifted = [[x - low for x in row] for row in cost]
+            # min and max pass over a NaN that is not first, but a sum
+            # does not; with no NaN, no shifted entry is negative
+            if not math.isnan(sum(chain.from_iterable(shifted))):
+                return _paths_over_lists(shifted)
+        raise ValidationError("cost matrix entries must be finite")
+    cost = np.asarray(cost, dtype=float)
     low = float(cost.min())
     if not math.isfinite(float(cost.max()) - low):
         raise ValidationError("cost matrix entries must be finite")
@@ -145,12 +161,13 @@ def _shortest_augmenting_paths(c: np.ndarray) -> tuple:
     return _paths_over_arrays(c)
 
 
-def _paths_over_lists(c: np.ndarray) -> tuple:
+def _paths_over_lists(c) -> tuple:
     """``_paths_over_arrays`` over Python lists, step for step: the first
     index at a minimum, the same rules, and the same float operations in
-    the same order, so the same columns bit for bit."""
-    rows = c.tolist()
-    s, t = c.shape
+    the same order, so the same columns bit for bit.  ``c`` is a numpy
+    array or a list of rows, which it does not change."""
+    rows = c.tolist() if isinstance(c, np.ndarray) else c
+    s, t = len(rows), len(rows[0])
     inf = math.inf
 
     u = [0.0] * s

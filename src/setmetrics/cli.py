@@ -9,6 +9,13 @@ Four subcommands over workspace files:
       complete space: the sets {0, 1/n} get arbitrarily close to each
       other yet stay boundedly far from every fixed candidate limit
 
+``matrix --metric subset`` and ``validate`` gather the subset distances
+of their pool's pairs from one table of the pool's elements
+(``pool_distances``), for a union of up to ``POOL_TABLE_MAX_ELEMENTS``
+elements and pairs of up to ``POOL_TABLE_MAX_CELLS`` costs; larger pools
+and pairs run ``subset_distance``.  Either way each value is the one
+``subset_distance`` gives, bit for bit.
+
 Exit codes: 0 success, 1 validation or axiom failure, 2 parse or usage
 error.  Real numbers are printed with 9 significant digits and '.' as
 the decimal separator.
@@ -31,7 +38,7 @@ from .penalties import (EccentricityPenalty, TablePenalty, parse_penalty_spec,
                         validate_penalty)
 from .spaces import EuclideanBoxSpace, element_to_json
 from .subset_distance import (PointSet, brute_force_subset_distance,
-                              subset_distance)
+                              pool_distances, subset_distance)
 from .workspace import (Workspace, certify_penalty, load_sequence_sets,
                         load_workspace, uncovered_elements)
 
@@ -77,12 +84,6 @@ def _load(args) -> Workspace:
     return ws
 
 
-def _metric_value(ws: Workspace, metric: str, a: PointSet, b: PointSet) -> float:
-    if metric == "subset":
-        return subset_distance(ws.space, ws.penalty, a, b).value
-    return comparison_distance(_COMPARISONS[metric], ws.space, a, b)
-
-
 def cmd_dist(args) -> int:
     ws = _load(args)
     a = ws.get_set(args.set_a)
@@ -122,22 +123,27 @@ def cmd_matrix(args) -> int:
     ws = _load(args)
     names = ws.set_names()
     n = len(names)
-    if n and args.metric == "subset":
-        certify_penalty(ws)
+    pool = [ws.sets[name] for name in names]
+    if args.metric == "subset":
+        if n:
+            certify_penalty(ws)
+        distance = pool_distances(ws.space, ws.penalty, pool)
+    else:
+        kind = _COMPARISONS[args.metric]
+
+        def distance(i: int, j: int) -> float:
+            return comparison_distance(kind, ws.space, pool[i], pool[j])
     values = [[0.0] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
-            d = _metric_value(ws, args.metric, ws.sets[names[i]], ws.sets[names[j]])
-            values[i][j] = values[j][i] = round_real(d)
+            values[i][j] = values[j][i] = round_real(distance(i, j))
 
     if args.format == "json":
         print(json.dumps({"metric": args.metric, "names": names,
                           "values": values}, indent=2))
     else:
         out = csv.writer(sys.stdout, lineterminator="\n")
-        # an empty corner cell, written bare: with no sets the header is ","
-        sys.stdout.write(",")
-        out.writerow(names)
+        out.writerow(["", *names])
         for name, row in zip(names, values):
             out.writerow([name, *(fmt_real(v) for v in row)])
     return 0
@@ -197,13 +203,14 @@ def cmd_validate(args) -> int:
     pairs_checked = 0
     if pen_report.ok and not report.get("coverage", {}).get("violations"):
         pool = pool + _sample_sets(ws, rng, max(args.samples, 12))
+        distance = pool_distances(ws.space, ws.penalty, pool)
         dist = {}
         for i, A in enumerate(pool):
             for j, B in enumerate(pool):
                 if j < i:
                     continue
-                dab = _finite(subset_distance(ws.space, ws.penalty, A, B).value)
-                dba = subset_distance(ws.space, ws.penalty, B, A).value
+                dab = _finite(distance(i, j))
+                dba = distance(j, i)
                 dist[i, j] = dist[j, i] = dab
                 pairs_checked += 1
                 if dab < 0:

@@ -150,6 +150,8 @@ class HammingSpace(Space):
         self.alphabet = "".join(sorted(alphabet))
         self.length = length
         self._symbols = frozenset(alphabet)
+        # str.translate under this table deletes every symbol of the alphabet
+        self._deletions = str.maketrans("", "", alphabet)
 
     @property
     def diameter(self) -> float:
@@ -176,7 +178,7 @@ class HammingSpace(Space):
         items = list(items)
         if set(map(type, items)) <= {str} \
                 and set(map(len, items)) <= {self.length} \
-                and set("".join(items)) <= self._symbols:
+                and not "".join(items).translate(self._deletions):
             return items
         return super().validate_elements(items)
 

@@ -16,9 +16,11 @@ A plain-text format covers the common sequence case: blank-line-separated
 blocks of equal-length words, block k loaded as "set_k", with alphabet
 inferred from the text and the penalty fixed to the constant word length.
 
-Each element is checked once, on entry: set elements by ``PointSet``
-(one helper builds the sets of both formats), table entries by
-``TablePenalty``.
+Each element is checked once, on entry: set elements of a JSON document
+by ``PointSet``, words of the text format by the loader itself (their
+length is checked and the alphabet is derived from them, so the sets are
+built canonical without validating them again), and table entries by
+``TablePenalty``.  One helper builds the sets of both formats.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from __future__ import annotations
 import json
 import warnings
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import Callable, Dict, List
 
 from .errors import ParseError, ValidationError
 from .penalties import (ConstantPenalty, DiameterPenalty, PenaltyFunction,
@@ -105,8 +107,11 @@ def loads_workspace(text: str) -> Workspace:
 
 
 def _workspace(space: Space, penalty: PenaltyFunction,
-               raw_sets: Dict[str, list]) -> Workspace:
-    """Workspace of named raw element lists, each made a PointSet."""
+               raw_sets: Dict[str, list],
+               make_set: Callable[[Space, list], PointSet] = PointSet
+               ) -> Workspace:
+    """Workspace of named raw element lists, each made a set by
+    ``make_set``: ``PointSet``, which validates them, by default."""
     sets: Dict[str, PointSet] = {}
     notices: List[str] = []
     for name, elements in raw_sets.items():
@@ -117,7 +122,7 @@ def _workspace(space: Space, penalty: PenaltyFunction,
         try:
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
-                sets[name] = PointSet(space, elements)
+                sets[name] = make_set(space, elements)
         except ValidationError as exc:
             raise ParseError(f"set {name!r}: {exc}") from exc
         notices.extend(f"set {name!r}: {w.message}" for w in caught)
@@ -170,7 +175,8 @@ def loads_sequence_sets(text: str) -> Workspace:
     space = HammingSpace(alphabet, length)
     penalty = ConstantPenalty(space, float(length))
     sets = {f"set_{k}": block for k, block in enumerate(blocks, start=1)}
-    return _workspace(space, penalty, sets)
+    # every word is valid by construction: checked length, derived alphabet
+    return _workspace(space, penalty, sets, PointSet._from_valid)
 
 
 def load_sequence_sets(path: str) -> Workspace:

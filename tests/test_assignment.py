@@ -307,3 +307,36 @@ def test_costs_spread_past_the_largest_float_raise():
     with pytest.raises(ValidationError, match="finite"):
         subset_distance(graph, table, PointSet(graph, [0]),
                         PointSet(graph, [1, 2]))
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("rows", (
+    [[NAN, 1.0, 2.0], [0.0, 1.0, 2.0]],     # first entry
+    [[0.0, 1.0, 2.0], [1.0, NAN, 2.0]],     # a middle entry
+    [[0.0, 1.0, 2.0], [1.0, 2.0, NAN]],     # last entry
+    [[0.0, 1.0, 2.0], [NAN, 5.0, 2.0]],     # first of a later row
+    [[0.0, INF, 2.0]], [[0.0, 1.0], [1.0, -INF]], [[-1.7e308, 1e308]]),
+    ids=("nan first", "nan middle", "nan last", "nan row start", "inf",
+         "-inf", "spread"))
+def test_list_shift_refuses_non_finite_costs_without_a_warning(rows):
+    # min and max pass over a NaN after the first entry; the shift of
+    # rows given as lists must refuse it all the same.
+    with pytest.raises(ValidationError, match="finite"):
+        setmetrics.assignment._solve_shifted(rows)
+
+
+WIDTH = setmetrics.assignment.LIST_CORE_MAX_COLS
+
+
+@pytest.mark.parametrize("t", (1, 7, WIDTH, WIDTH + 1))
+def test_list_and_array_costs_give_the_same_columns(t):
+    # Costs of either sign, with ties, as rows of lists and as an array.
+    rng = np.random.default_rng(t)
+    for s in sorted({1, max(1, t // 2), t}):
+        for _ in range(5):
+            cost = rng.integers(-4, 5, size=(s, t)) + rng.choice([0.0, 0.5], (s, t))
+            assert setmetrics.assignment._solve_shifted(cost.tolist()) == \
+                setmetrics.assignment._solve_shifted(cost)

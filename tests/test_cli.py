@@ -1,6 +1,7 @@
 """End-to-end command-line behavior via main(argv)."""
 
 import csv
+import importlib
 import io
 import json
 import math
@@ -249,7 +250,8 @@ def test_matrix_certifies_a_table_penalty_once(tmp_path, monkeypatch, capsys):
     doc["sets"] = {}
     path.write_text(json.dumps(doc))
     code, out, _ = run(capsys, "matrix", str(path))
-    assert (code, out) == (0, ",\n")
+    assert (code, out) == (0, '""\n')
+    assert list(csv.reader(io.StringIO(out))) == [[""]]
     assert len(calls) == 1
 
 
@@ -265,6 +267,43 @@ def test_matrix_csv_round_trips_set_names(tmp_path, capsys):
     assert rows[0] == ["", *names]
     assert [row[0] for row in rows[1:]] == names
     assert all(len(row) == len(names) + 1 for row in rows)
+
+
+def test_matrix_is_the_same_from_the_table_and_per_pair(tmp_path, monkeypatch,
+                                                       capsys):
+    # The sets' union is exactly the table bound; one more set takes it
+    # one element over, where each pair runs subset_distance instead.
+    module = importlib.import_module("setmetrics.subset_distance")
+    bound = module.POOL_TABLE_MAX_ELEMENTS
+    words = [format(k, "011b") for k in range(bound + 1)]
+    sets = {"A": words[:5], "B": words[3:9], "C": words[7:8] + words[-6:-1],
+            "all": words[:-1]}
+    calls = []
+    original = module.subset_distance
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(module, "subset_distance", counted)
+    outputs = []
+    for extra, pairs_run in (({}, 0), ({"D": words[-1:]}, 15)):
+        doc = {"space": {"kind": "hamming", "alphabet": "01", "length": 11},
+               "sets": {**sets, **extra}}
+        path = tmp_path / f"words{len(extra)}.json"
+        path.write_text(json.dumps(doc))
+        code, out, _ = run(capsys, "matrix", str(path), "--format", "json")
+        assert code == 0 and len(calls) == pairs_run
+        outputs.append(json.loads(out)["values"])
+    at_bound, over_bound = outputs
+    assert [row[:4] for row in over_bound[:4]] == at_bound
+
+    # The pool over the bound prints the same from a table, too, where
+    # only D against "all", 1 x 1024 costs, is too large to gather.
+    code, per_pair, _ = run(capsys, "matrix", str(path))
+    monkeypatch.setattr(module, "POOL_TABLE_MAX_ELEMENTS", bound + 1)
+    assert run(capsys, "matrix", str(path)) == (code, per_pair, "")
+    assert len(calls) == 31
 
 
 def test_validate_good_fixtures_exit_zero(capsys):

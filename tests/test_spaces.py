@@ -376,6 +376,12 @@ BULK_CASES = {
         [], ["ACGT", "TTTT", "ACGT"], {"ACGT", "GGGG"}, [Word("ACGT"), "TTTT"],
         ["ACGT", "ACG"], ["ACGT", "ACGX"], ["ACGT", 5, "TTTT"],
         ["ACGT", "ACG", "ACGX"], ["ACGX", "ACG"], [b"ACGT"], ["ACGT", None]]),
+    # symbols outside the Basic Multilingual Plane, one bad symbol last
+    "hamming non-BMP": (HammingSpace("\U0001F600\U0001F601\u00e9", 3), [
+        ["\U0001F600\u00e9\U0001F601", "\u00e9\u00e9\u00e9"],
+        ["\U0001F601\U0001F601\U0001F601", "\U0001F600\U0001F600\U0001F602"],
+        ["\u00e9\u00e9\u00e9", "\U0001F600\U0001F600e"],
+        ["\U0001F600\U0001F600"]]),
     "graph": (GraphSpace([(v, v + 1, 1.0) for v in range(4)]), [
         [], [0, 4, 2, 2], {1, 3}, range(5), [True], [0, False],
         [np.int64(1)], [0, np.int64(1)], [-1], [5], [0, 5, -1], [0, "1"],
