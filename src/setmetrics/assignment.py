@@ -15,10 +15,12 @@ input always yields the same answer.
 
 The core, ``_shortest_augmenting_paths``, takes finite entries only, as
 Crouse's solver does, and does not check them: the entry points above
-check the matrices callers pass in, and ``_solve_shifted``, through which
-the package's own distances reach the core, refuses non-finite ones
-before it runs the core on the costs less their minimum.  The core
-returns only the columns; a caller that needs the total sums it.
+check the matrices callers pass in, and ``_solve_finite``, through which
+the package's own distances reach the core, refuses non-finite ones.
+The package's costs d - M are <= 0, and the core solves them as they
+are: its dual potentials, and so its optimality conditions, hold for
+entries of any sign (Kuhn, 1955).  The core returns only the columns; a
+caller that needs the total sums it.
 
 The core has two forms.  On matrices at most ``LIST_CORE_MAX_COLS`` (32)
 wide it runs over Python lists: there numpy's fixed cost per call, paid
@@ -104,31 +106,25 @@ def solve_assignment(cost_matrix) -> Assignment:
     return Assignment(columns, _total(c, columns))
 
 
-def _solve_shifted(cost) -> tuple:
+def _solve_finite(cost) -> tuple:
     """Columns of a minimum injection for an s x t matrix, 1 <= s <= t, of
-    any sign: the core runs on the costs less their least entry ``low``,
-    which moves every injection's total by s * low alike.  Raises
-    ValidationError, with no warning, unless the spread of the entries,
-    and so every entry, is finite.
+    any sign.  Raises ValidationError, with no warning, unless the spread
+    of the entries, and so every entry, is finite: the core subtracts
+    entries from one another through its potentials.
 
-    ``cost`` is a numpy array or a list of s rows of floats.  Rows at most
-    ``LIST_CORE_MAX_COLS`` wide are shifted over Python lists, with no
-    numpy call; arrays are shifted by numpy, which is the faster of the
-    two on an array even that narrow."""
-    if isinstance(cost, list) and len(cost[0]) <= LIST_CORE_MAX_COLS:
+    ``cost`` is a numpy array or a list of s rows of floats; lists are
+    checked with no numpy call."""
+    if isinstance(cost, list):
         low = min(chain.from_iterable(cost))
-        if math.isfinite(max(chain.from_iterable(cost)) - low):
-            shifted = [[x - low for x in row] for row in cost]
-            # min and max pass over a NaN that is not first, but a sum
-            # does not; with no NaN, no shifted entry is negative
-            if not math.isnan(sum(chain.from_iterable(shifted))):
-                return _paths_over_lists(shifted)
+        # min and max pass over a NaN that is not first, but a sum does
+        # not; finite entries can sum to an infinity, never to a NaN
+        finite = math.isfinite(max(chain.from_iterable(cost)) - low) \
+            and not math.isnan(sum(chain.from_iterable(cost)))
+    else:
+        finite = math.isfinite(float(cost.max()) - float(cost.min()))
+    if not finite:
         raise ValidationError("cost matrix entries must be finite")
-    cost = np.asarray(cost, dtype=float)
-    low = float(cost.min())
-    if not math.isfinite(float(cost.max()) - low):
-        raise ValidationError("cost matrix entries must be finite")
-    return _shortest_augmenting_paths(cost - low)
+    return _shortest_augmenting_paths(cost)
 
 
 def _total(c: np.ndarray, columns: tuple) -> float:
@@ -136,29 +132,21 @@ def _total(c: np.ndarray, columns: tuple) -> float:
     return float(c[np.arange(len(columns)), columns].sum())
 
 
-def _shifted_total(cost: np.ndarray, columns: tuple) -> float:
-    """Total of ``cost`` over the columns ``_solve_shifted`` returned, as
-    the sum of their entries less ``low`` plus s * low: the form the core
-    solved, which can round apart from summing the entries directly."""
-    low = float(cost.min())
-    terms = cost[np.arange(len(columns)), columns] - low
-    return float(terms.sum()) + len(columns) * low
-
-
-def _shortest_augmenting_paths(c: np.ndarray) -> tuple:
-    """Core of both solvers, on an s x t matrix of finite nonnegative
-    entries with s <= t, which it does not check; returns each row's
-    column.  A row takes its cheapest column of ``c[row] - v`` if it is
-    free, or else a free column tied with it (Crouse's rule), leaving ``v``
-    as it is; only the other rows reset the tree scratch, relax one tree
-    row per step and update duals.  Should the arithmetic leave no finite
-    path, it raises ValidationError rather than loop.
+def _shortest_augmenting_paths(c) -> tuple:
+    """Core of both solvers, on an s x t matrix of finite entries of any
+    sign with s <= t, which it does not check: a numpy array or a list of
+    rows.  Returns each row's column.  A row takes its cheapest column of
+    ``c[row] - v`` if it is free, or else a free column tied with it
+    (Crouse's rule), leaving ``v`` as it is; only the other rows reset the
+    tree scratch, relax one tree row per step and update duals.  Should
+    the arithmetic leave no finite path, it raises ValidationError rather
+    than loop.
 
     Matrices at most ``LIST_CORE_MAX_COLS`` wide run over Python lists,
     wider ones over numpy arrays; both give the same columns."""
-    if c.shape[1] <= LIST_CORE_MAX_COLS:
+    if len(c[0]) <= LIST_CORE_MAX_COLS:
         return _paths_over_lists(c)
-    return _paths_over_arrays(c)
+    return _paths_over_arrays(np.asarray(c, dtype=float))
 
 
 def _paths_over_lists(c) -> tuple:

@@ -150,11 +150,19 @@ def cmd_matrix(args) -> int:
 
 
 def _sample_sets(ws: Workspace, rng: np.random.Generator, count: int):
+    if isinstance(ws.penalty, TablePenalty):
+        # A table only defines M on its own domain; draw from exactly that.
+        domain = ws.penalty.domain()
+
+        def draw():
+            return domain[int(rng.integers(len(domain)))]
+    else:
+        def draw():
+            return ws.space.sample_element(rng)
     sets = []
     for _ in range(count):
         size = int(rng.integers(0, 5))
-        elems = {ws.space.sample_element(rng) for _ in range(size)}
-        sets.append(PointSet(ws.space, elems))
+        sets.append(PointSet(ws.space, {draw() for _ in range(size)}))
     return sets
 
 

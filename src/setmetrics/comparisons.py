@@ -20,7 +20,7 @@ import math
 
 import numpy as np
 
-from .assignment import _shifted_total, _solve_shifted
+from .assignment import _solve_finite, _total
 # Unused here; bound so that perfbench/tracing.py can wrap it by name.
 from .assignment import solve_assignment  # noqa: F401
 from .errors import DomainError, SizeLimitError, ValidationError
@@ -136,12 +136,12 @@ def link_distance(space: Space, a: PointSet, b: PointSet) -> float:
     col_cheap = d.min(axis=0)
     reduced = np.minimum(d - row_cheap[:, None] - col_cheap[None, :], 0.0)
     # No taller than wide, so valid without solve_injection's checks;
-    # _solve_shifted refuses it if a distance overflowed to inf.
-    cols = _solve_shifted(reduced.T)
+    # _solve_finite refuses it if a distance overflowed to inf.
+    cols = _solve_finite(reduced.T)
     # a sum past the largest float is inf, for the caller to refuse
     with np.errstate(over="ignore"):
         row_total, col_total = float(row_cheap.sum()), float(col_cheap.sum())
-        correction = _shifted_total(reduced.T, cols)
+        correction = _total(reduced.T, cols)
     base = row_total + col_total
     if base == math.inf:
         # the answer is at least col_total, so row_total + correction >= 0:

@@ -149,7 +149,6 @@ class HammingSpace(Space):
             raise ValidationError("word length must be a positive integer")
         self.alphabet = "".join(sorted(alphabet))
         self.length = length
-        self._symbols = frozenset(alphabet)
         # str.translate under this table deletes every symbol of the alphabet
         self._deletions = str.maketrans("", "", alphabet)
 
@@ -165,7 +164,7 @@ class HammingSpace(Space):
         if len(x) != self.length:
             raise ValidationError(
                 f"word {x!r} has length {len(x)}, space requires {self.length}")
-        bad = set(x) - self._symbols
+        bad = set(x.translate(self._deletions))
         if bad:
             raise ValidationError(
                 f"word {x!r} uses symbols {sorted(bad)} outside alphabet {self.alphabet!r}")

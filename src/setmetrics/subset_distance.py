@@ -31,7 +31,7 @@ from typing import Callable, Iterable, Mapping, Sequence, Union
 
 import numpy as np
 
-from .assignment import _solve_shifted
+from .assignment import _solve_finite
 # Unused here; bound so that perfbench/tracing.py can wrap it by name.
 from .assignment import solve_assignment  # noqa: F401
 from .errors import SizeLimitError, ValidationError
@@ -306,16 +306,16 @@ def _solve_reduced(dist, penalties) -> tuple:
     give the same answer bit for bit."""
     cols = ()
     # No taller than wide, so valid without solve_injection's checks;
-    # _solve_shifted refuses entries whose spread overflows a float.
+    # _solve_finite refuses entries whose spread overflows a float.
     if isinstance(penalties, np.ndarray):
         if len(dist):
-            cols = _solve_shifted(dist - penalties)
+            cols = _solve_finite(dist - penalties)
         matched = [dist.item(i, j) for i, j in enumerate(cols)]
         penalties = penalties.tolist()
     else:
         if dist:
-            cols = _solve_shifted([[d - m for d, m in zip(row, penalties)]
-                                   for row in dist])
+            cols = _solve_finite([[d - m for d, m in zip(row, penalties)]
+                                  for row in dist])
         matched = [row[j] for row, j in zip(dist, cols)]
     return cols, _injection_cost(matched, penalties, set(cols))
 

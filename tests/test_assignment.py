@@ -295,7 +295,7 @@ def test_solve_shifted_refuses_non_finite_costs_without_a_warning(rows):
     # The one check between the package's distances and the core: every
     # entry, and their spread, must be finite.
     with pytest.raises(ValidationError, match="finite"):
-        setmetrics.assignment._solve_shifted(np.array(rows))
+        setmetrics.assignment._solve_finite(np.array(rows))
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -325,7 +325,7 @@ def test_list_shift_refuses_non_finite_costs_without_a_warning(rows):
     # min and max pass over a NaN after the first entry; the shift of
     # rows given as lists must refuse it all the same.
     with pytest.raises(ValidationError, match="finite"):
-        setmetrics.assignment._solve_shifted(rows)
+        setmetrics.assignment._solve_finite(rows)
 
 
 WIDTH = setmetrics.assignment.LIST_CORE_MAX_COLS
@@ -338,5 +338,36 @@ def test_list_and_array_costs_give_the_same_columns(t):
     for s in sorted({1, max(1, t // 2), t}):
         for _ in range(5):
             cost = rng.integers(-4, 5, size=(s, t)) + rng.choice([0.0, 0.5], (s, t))
-            assert setmetrics.assignment._solve_shifted(cost.tolist()) == \
-                setmetrics.assignment._solve_shifted(cost)
+            assert setmetrics.assignment._solve_finite(cost.tolist()) == \
+                setmetrics.assignment._solve_finite(cost)
+
+
+def signed_matrix(rng, kind, shape):
+    if kind == "nonpositive integers":
+        return -rng.integers(0, 3, size=shape).astype(float)
+    if kind == "nonpositive reals":
+        return -rng.uniform(0.0, 10.0, size=shape)
+    if kind == "mixed-sign reals":
+        return rng.uniform(-10.0, 10.0, size=shape)
+    return -rng.random(shape) * 10.0 ** rng.integers(-6, 10, size=shape)
+
+
+@pytest.mark.parametrize("t", (7, WIDTH, WIDTH + 1, 50))
+@pytest.mark.parametrize("kind", ("nonpositive integers", "nonpositive reals",
+                                  "mixed-sign reals", "negated spreads"))
+def test_core_is_optimal_on_costs_of_any_sign(kind, t):
+    # The package's costs d - M are <= 0 and reach the core as they are.
+    rng = np.random.default_rng([t, len(kind)])
+    for s in sorted({1, 2, t // 2, t - 1, t}):
+        for _ in range(3):
+            c = signed_matrix(rng, kind, (s, t))
+            best = scipy_injection_total(c)
+            for core in (setmetrics.assignment._paths_over_lists,
+                         setmetrics.assignment._paths_over_arrays):
+                cols = core(c)
+                total = float(c[np.arange(s), list(cols)].sum())
+                assert len(set(cols)) == s
+                if kind == "nonpositive integers":
+                    assert total == best
+                else:
+                    assert total == pytest.approx(best, rel=1e-9, abs=1e-9)

@@ -347,6 +347,34 @@ def test_validate_table_missing_set_elements_skips_axioms(tmp_path, capsys):
     assert report["axioms"] is None
 
 
+def test_validate_samples_a_box_table_from_its_domain(capsys):
+    # A table on a box covers two points of a continuum: sets drawn from
+    # the space would meet a point with no entry.
+    code, out, _ = run(capsys, "validate", fx("box_table.json"),
+                       "--samples", "3")
+    assert code == 0
+    report = json.loads(out)
+    assert report["ok"] is True
+    assert report["pairs_checked"]
+
+
+def test_validate_samples_a_partial_graph_table_from_its_domain(tmp_path,
+                                                                capsys):
+    # Vertex 2 has no entry; twelve sampled sets all but surely meet it
+    # when they are drawn from the whole graph.
+    doc = {"space": {"kind": "graph", "edges": [[0, 1, 1.0], [1, 2, 1.0]]},
+           "m_function": {"variant": "table",
+                          "entries": [[0, 1.0], [1, 1.0]]},
+           "sets": {"A": [0], "B": [1]}}
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps(doc))
+    code, out, _ = run(capsys, "validate", str(path), "--samples", "3")
+    assert code == 0
+    report = json.loads(out)
+    assert report["ok"] is True
+    assert report["pairs_checked"]
+
+
 def test_validate_is_reproducible_per_seed(capsys):
     _, out1, _ = run(capsys, "validate", fx("unit_square.json"),
                      "--seed", "7", "--samples", "30")
