@@ -22,8 +22,9 @@ are: its dual potentials, and so its optimality conditions, hold for
 entries of any sign (Kuhn, 1955).  The core returns only the columns; a
 caller that needs the total sums it.
 
-The core has two forms.  On matrices at most ``LIST_CORE_MAX_COLS`` (32)
-wide it runs over Python lists: there numpy's fixed cost per call, paid
+The core takes a numpy array and has two forms.  On matrices at most
+``LIST_CORE_MAX_COLS`` (32) wide it reads the array into Python lists
+and runs over those: there numpy's fixed cost per call, paid
 by every tree step on vectors of 3-32 entries, outweighs the arithmetic,
 and lists are about 1.4-3.6x faster on square matrices.  Wider matrices
 run over numpy arrays, whose column scan is vectorized; they win on wide,
@@ -38,7 +39,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -106,23 +106,12 @@ def solve_assignment(cost_matrix) -> Assignment:
     return Assignment(columns, _total(c, columns))
 
 
-def _solve_finite(cost) -> tuple:
-    """Columns of a minimum injection for an s x t matrix, 1 <= s <= t, of
+def _solve_finite(cost: np.ndarray) -> tuple:
+    """Columns of a minimum injection for an s x t array, 1 <= s <= t, of
     any sign.  Raises ValidationError, with no warning, unless the spread
     of the entries, and so every entry, is finite: the core subtracts
-    entries from one another through its potentials.
-
-    ``cost`` is a numpy array or a list of s rows of floats; lists are
-    checked with no numpy call."""
-    if isinstance(cost, list):
-        low = min(chain.from_iterable(cost))
-        # min and max pass over a NaN that is not first, but a sum does
-        # not; finite entries can sum to an infinity, never to a NaN
-        finite = math.isfinite(max(chain.from_iterable(cost)) - low) \
-            and not math.isnan(sum(chain.from_iterable(cost)))
-    else:
-        finite = math.isfinite(float(cost.max()) - float(cost.min()))
-    if not finite:
+    entries from one another through its potentials."""
+    if not math.isfinite(float(cost.max()) - float(cost.min())):
         raise ValidationError("cost matrix entries must be finite")
     return _shortest_augmenting_paths(cost)
 
@@ -132,29 +121,28 @@ def _total(c: np.ndarray, columns: tuple) -> float:
     return float(c[np.arange(len(columns)), columns].sum())
 
 
-def _shortest_augmenting_paths(c) -> tuple:
-    """Core of both solvers, on an s x t matrix of finite entries of any
-    sign with s <= t, which it does not check: a numpy array or a list of
-    rows.  Returns each row's column.  A row takes its cheapest column of
-    ``c[row] - v`` if it is free, or else a free column tied with it
-    (Crouse's rule), leaving ``v`` as it is; only the other rows reset the
-    tree scratch, relax one tree row per step and update duals.  Should
-    the arithmetic leave no finite path, it raises ValidationError rather
-    than loop.
+def _shortest_augmenting_paths(c: np.ndarray) -> tuple:
+    """Core of both solvers, on an s x t float array of finite entries of
+    any sign with s <= t, which it does not check.  Returns each row's
+    column.  A row takes its cheapest column of ``c[row] - v`` if it is
+    free, or else a free column tied with it (Crouse's rule), leaving
+    ``v`` as it is; only the other rows reset the tree scratch, relax one
+    tree row per step and update duals.  Should the arithmetic leave no
+    finite path, it raises ValidationError rather than loop.
 
     Matrices at most ``LIST_CORE_MAX_COLS`` wide run over Python lists,
     wider ones over numpy arrays; both give the same columns."""
-    if len(c[0]) <= LIST_CORE_MAX_COLS:
+    if c.shape[1] <= LIST_CORE_MAX_COLS:
         return _paths_over_lists(c)
-    return _paths_over_arrays(np.asarray(c, dtype=float))
+    return _paths_over_arrays(c)
 
 
-def _paths_over_lists(c) -> tuple:
+def _paths_over_lists(c: np.ndarray) -> tuple:
     """``_paths_over_arrays`` over Python lists, step for step: the first
     index at a minimum, the same rules, and the same float operations in
-    the same order, so the same columns bit for bit.  ``c`` is a numpy
-    array or a list of rows, which it does not change."""
-    rows = c.tolist() if isinstance(c, np.ndarray) else c
+    the same order, so the same columns bit for bit.  It reads ``c``, a
+    numpy array, into rows once."""
+    rows = c.tolist()
     s, t = len(rows), len(rows[0])
     inf = math.inf
 

@@ -10,11 +10,10 @@ Four subcommands over workspace files:
       other yet stay boundedly far from every fixed candidate limit
 
 ``matrix --metric subset`` and ``validate`` gather the subset distances
-of their pool's pairs from one table of the pool's elements
+of their pool's pairs from one numpy table of the pool's elements
 (``pool_distances``), for a union of up to ``POOL_TABLE_MAX_ELEMENTS``
-elements and pairs of up to ``POOL_TABLE_MAX_CELLS`` costs; larger pools
-and pairs run ``subset_distance``.  Either way each value is the one
-``subset_distance`` gives, bit for bit.
+elements; larger pools run ``subset_distance`` per pair.  Either way
+each value is the one ``subset_distance`` gives, bit for bit.
 
 Exit codes: 0 success, 1 validation or axiom failure, 2 parse or usage
 error.  Real numbers are printed with 9 significant digits and '.' as

@@ -26,7 +26,6 @@ from __future__ import annotations
 import itertools
 import warnings
 from dataclasses import dataclass
-from operator import itemgetter
 from typing import Callable, Iterable, Mapping, Sequence, Union
 
 import numpy as np
@@ -45,16 +44,8 @@ BRUTE_FORCE_MAX_SET = 7
 _CHI_BLOCK = 64
 
 #: Largest union U of a pool's elements that ``pool_distances`` numbers
-#: and holds as one table: U x U distances in Python lists, about 32 bytes
-#: an entry, so at most 34 MB, built in about 0.1 s (2-vCPU Xeon).
+#: and holds as one U x U table of float64 distances: at most 8 MB.
 POOL_TABLE_MAX_ELEMENTS = 1024
-
-#: Largest |source| x |target| of a pair that ``pool_distances`` gathers
-#: from its table.  Over lists each cost entry takes about 0.15 us more
-#: than over numpy, against the 20-60 us of fixed work of a subset_distance
-#: call: on a 2-vCPU Xeon the two cross near 120 costs on a graph and near
-#: 250 on words or R^3 points.
-POOL_TABLE_MAX_CELLS = 128
 
 
 class DuplicateElementsWarning(UserWarning):
@@ -296,28 +287,17 @@ def subset_distance(space: Space, penalty: PenaltyFunction, a: PointSet,
                                 reduced_a, reduced_b, common, from_a)
 
 
-def _solve_reduced(dist, penalties) -> tuple:
+def _solve_reduced(dist: np.ndarray, penalties: np.ndarray) -> tuple:
     """``(columns, value)`` for sets already reduced and oriented:
     ``dist`` holds d(x, y), a row per source x and a column per target y,
-    and ``penalties`` M(y) per target, both numpy arrays or both Python
-    sequences.  ``columns`` is a minimum injection on the costs d - M and
-    ``value`` its cost as ``_injection_cost`` sums it.  Sequences and
-    arrays of the same floats take the same float operations, so they
-    give the same answer bit for bit."""
-    cols = ()
+    and ``penalties`` M(y) per target.  ``columns`` is a minimum
+    injection on the costs d - M and ``value`` its cost as
+    ``_injection_cost`` sums it."""
     # No taller than wide, so valid without solve_injection's checks;
     # _solve_finite refuses entries whose spread overflows a float.
-    if isinstance(penalties, np.ndarray):
-        if len(dist):
-            cols = _solve_finite(dist - penalties)
-        matched = [dist.item(i, j) for i, j in enumerate(cols)]
-        penalties = penalties.tolist()
-    else:
-        if dist:
-            cols = _solve_finite([[d - m for d, m in zip(row, penalties)]
-                                  for row in dist])
-        matched = [row[j] for row, j in zip(dist, cols)]
-    return cols, _injection_cost(matched, penalties, set(cols))
+    cols = _solve_finite(dist - penalties) if len(dist) else ()
+    matched = [dist.item(i, j) for i, j in enumerate(cols)]
+    return cols, _injection_cost(matched, penalties.tolist(), set(cols))
 
 
 def pool_distances(space: Space, penalty: PenaltyFunction,
@@ -330,14 +310,14 @@ def pool_distances(space: Space, penalty: PenaltyFunction,
     ``POOL_TABLE_MAX_ELEMENTS``, it numbers U in sorted order once, takes
     one vector of ``penalty.values`` and, when a pair first needs it, one
     U x U table of ``space.pairwise``.  Each pair is then reduced and
-    oriented on lists of ids, which compare as the elements do, and a
-    pair of at most ``POOL_TABLE_MAX_CELLS`` costs gathers its distances
-    and penalties from those as lists: no PointSet per pair, and no numpy
-    call up to ``LIST_CORE_MAX_COLS`` targets.  ``pairwise`` entries do
-    not depend on the shape they are computed in, so the floats are those
-    of the pair's own call.  Larger pairs and pools, and a penalty with no
-    value for some element of U (a table penalty, whose error then comes
-    from the pair that meets it), run ``subset_distance``.
+    oriented on lists of ids, which compare as the elements do, and
+    gathers its distances and penalties from those with ``take``: no
+    PointSet and no ``pairwise`` call per pair.  A ``pairwise`` entry
+    depends only on its pair and a ``values`` entry only on its element,
+    so the floats, and the solve, are those of the pair's own
+    ``subset_distance``.  Larger pools, and a penalty with no value for
+    some element of U (a table penalty, whose error then comes from the
+    pair that meets it), run ``subset_distance``.
     """
     _check_bound(space, penalty, *pool)
 
@@ -348,28 +328,29 @@ def pool_distances(space: Space, penalty: PenaltyFunction,
     if len(union) > POOL_TABLE_MAX_ELEMENTS:
         return per_pair
     try:
-        penalties = penalty.values(union).tolist()
+        penalties = penalty.values(union)
     except ValidationError:
         return per_pair
     ids = {x: k for k, x in enumerate(union)}
     id_sets = [[ids[x] for x in ps] for ps in pool]
     members = [frozenset(ids_) for ids_ in id_sets]
-    table = []  # rows of distances, built for the first pair with a source
+    # no rows until the first pair with a source makes the U x U table
+    table = np.empty((0, len(union)))
 
     def distance(i: int, j: int) -> float:
+        nonlocal table
         a, b = id_sets[i], id_sets[j]
         if not members[i].isdisjoint(members[j]):
             a = [k for k in a if k not in members[j]]
             b = [k for k in b if k not in members[i]]
         if (len(a), a) > (len(b), b):
             a, b = b, a
-        if len(a) * len(b) > POOL_TABLE_MAX_CELLS:
-            return per_pair(i, j)
-        if a and not table:
-            table.extend(space.pairwise(union, union).tolist())
-        # itemgetter of one index returns the entry, not a tuple of it
-        pick = itemgetter(*b) if len(b) > 1 else lambda row: [row[k] for k in b]
-        return _solve_reduced([pick(table[k]) for k in a], pick(penalties))[1]
+        if a and not len(table):
+            table = space.pairwise(union, union)
+        # intp arrays, so that empty ids keep the shapes
+        b = np.array(b, dtype=np.intp)
+        dist = table.take(np.array(a, dtype=np.intp), axis=0).take(b, axis=1)
+        return _solve_reduced(dist, penalties.take(b))[1]
 
     return distance
 

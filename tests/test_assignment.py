@@ -287,13 +287,24 @@ def test_injection_on_forced_paths_matches_enumeration(path):
             assert total == pytest.approx(best, abs=1e-9)
 
 
+NAN, INF = float("nan"), float("inf")
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("rows", ([[0.0, np.nan]], [[np.inf, 1.0]],
-                                  [[-np.inf, 1.0]], [[np.inf, np.inf]],
-                                  [[-1.7e308, 1e308]]))
-def test_solve_shifted_refuses_non_finite_costs_without_a_warning(rows):
+@pytest.mark.parametrize("rows", (
+    [[0.0, NAN]], [[INF, 1.0]], [[-INF, 1.0]], [[INF, INF]],
+    [[-1.7e308, 1e308]],
+    [[NAN, 1.0, 2.0], [0.0, 1.0, 2.0]],     # first entry
+    [[0.0, 1.0, 2.0], [1.0, NAN, 2.0]],     # a middle entry
+    [[0.0, 1.0, 2.0], [1.0, 2.0, NAN]],     # last entry
+    [[0.0, 1.0, 2.0], [NAN, 5.0, 2.0]],     # first of a later row
+    [[0.0, INF, 2.0]], [[0.0, 1.0], [1.0, -INF]]),
+    ids=("nan", "inf", "-inf", "inf inf", "spread", "nan first",
+         "nan middle", "nan last", "nan row start", "inf in a row",
+         "-inf in a row"))
+def test_solve_finite_refuses_non_finite_costs_without_a_warning(rows):
     # The one check between the package's distances and the core: every
-    # entry, and their spread, must be finite.
+    # entry, and their spread, must be finite, a NaN in any position too.
     with pytest.raises(ValidationError, match="finite"):
         setmetrics.assignment._solve_finite(np.array(rows))
 
@@ -301,7 +312,8 @@ def test_solve_shifted_refuses_non_finite_costs_without_a_warning(rows):
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_costs_spread_past_the_largest_float_raise():
     # An uncertified, inadmissible table whose costs d - M run from
-    # -1.7e308 to 1e308: shifting them by their minimum would overflow.
+    # -1.7e308 to 1e308: a spread past the largest float, which the
+    # core's potentials cannot hold.
     graph = GraphSpace([(0, 1, 1.0), (1, 2, 1e308)])
     table = TablePenalty(graph, {0: 0.0, 1: 1.7e308, 2: 0.0})
     with pytest.raises(ValidationError, match="finite"):
@@ -309,37 +321,18 @@ def test_costs_spread_past_the_largest_float_raise():
                         PointSet(graph, [1, 2]))
 
 
-NAN, INF = float("nan"), float("inf")
-
-
-@pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("rows", (
-    [[NAN, 1.0, 2.0], [0.0, 1.0, 2.0]],     # first entry
-    [[0.0, 1.0, 2.0], [1.0, NAN, 2.0]],     # a middle entry
-    [[0.0, 1.0, 2.0], [1.0, 2.0, NAN]],     # last entry
-    [[0.0, 1.0, 2.0], [NAN, 5.0, 2.0]],     # first of a later row
-    [[0.0, INF, 2.0]], [[0.0, 1.0], [1.0, -INF]], [[-1.7e308, 1e308]]),
-    ids=("nan first", "nan middle", "nan last", "nan row start", "inf",
-         "-inf", "spread"))
-def test_list_shift_refuses_non_finite_costs_without_a_warning(rows):
-    # min and max pass over a NaN after the first entry; the shift of
-    # rows given as lists must refuse it all the same.
-    with pytest.raises(ValidationError, match="finite"):
-        setmetrics.assignment._solve_finite(rows)
-
-
 WIDTH = setmetrics.assignment.LIST_CORE_MAX_COLS
 
 
 @pytest.mark.parametrize("t", (1, 7, WIDTH, WIDTH + 1))
 def test_list_and_array_costs_give_the_same_columns(t):
-    # Costs of either sign, with ties, as rows of lists and as an array.
+    # Costs of either sign, with ties, through both forms of the core.
     rng = np.random.default_rng(t)
     for s in sorted({1, max(1, t // 2), t}):
         for _ in range(5):
             cost = rng.integers(-4, 5, size=(s, t)) + rng.choice([0.0, 0.5], (s, t))
-            assert setmetrics.assignment._solve_finite(cost.tolist()) == \
-                setmetrics.assignment._solve_finite(cost)
+            assert setmetrics.assignment._paths_over_lists(cost) == \
+                setmetrics.assignment._paths_over_arrays(cost)
 
 
 def signed_matrix(rng, kind, shape):

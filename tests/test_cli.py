@@ -7,9 +7,11 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import setmetrics.workspace
+from setmetrics import EuclideanBoxSpace
 from setmetrics.cli import main
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -299,11 +301,40 @@ def test_matrix_is_the_same_from_the_table_and_per_pair(tmp_path, monkeypatch,
     assert [row[:4] for row in over_bound[:4]] == at_bound
 
     # The pool over the bound prints the same from a table, too, where
-    # only D against "all", 1 x 1024 costs, is too large to gather.
+    # every pair is gathered, D against "all" (1 x 1024 costs) included.
     code, per_pair, _ = run(capsys, "matrix", str(path))
     monkeypatch.setattr(module, "POOL_TABLE_MAX_ELEMENTS", bound + 1)
     assert run(capsys, "matrix", str(path)) == (code, per_pair, "")
-    assert len(calls) == 31
+    assert len(calls) == 30
+
+
+def test_matrix_makes_one_table_for_a_pool_of_large_sets(tmp_path, monkeypatch,
+                                                        capsys):
+    # Two sets of 13 box points are a 13 x 13 pair, gathered from the
+    # pool's one table like the 2 x 13 pairs: one pairwise call in all.
+    module = importlib.import_module("setmetrics.subset_distance")
+    rng = np.random.default_rng(3)
+    points = rng.uniform(0.0, 1.0, size=(28, 2)).round(6).tolist()
+    doc = {"space": {"kind": "euclidean_box", "bounds": [[0.0, 1.0], [0.0, 1.0]]},
+           "m_function": {"variant": "eccentricity"},
+           "sets": {"A": points[:2], "B": points[2:15], "C": points[15:]}}
+    path = tmp_path / "box.json"
+    path.write_text(json.dumps(doc))
+    calls = {"pairwise": 0, "subset_distance": 0}
+
+    def counted(owner, name):
+        original = getattr(owner, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counted(EuclideanBoxSpace, "pairwise")
+    counted(module, "subset_distance")
+    code, _, _ = run(capsys, "matrix", str(path))
+    assert code == 0
+    assert calls == {"pairwise": 1, "subset_distance": 0}
 
 
 def test_validate_good_fixtures_exit_zero(capsys):

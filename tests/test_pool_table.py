@@ -92,9 +92,9 @@ def test_signed_zeros_are_one_element():
 
 
 def test_wide_and_large_pairs_match_subset_distance():
-    # A small set against a large one is gathered from the table and
-    # solved on the numpy core, wider than the list core; two large sets
-    # are more costs than the table serves, and run subset_distance.
+    # Every pair is gathered from the one table, a small set against a
+    # large one and two large sets alike, and the pairs wider than the
+    # list core are solved on the numpy core.
     rng = np.random.default_rng(5)
     words = HammingSpace("ACGT", 6)
     pool = [PointSet(words, {words.sample_element(rng) for _ in range(size)})
