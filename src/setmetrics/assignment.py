@@ -13,6 +13,14 @@ permutation.  A factorial-time enumerator is provided as an independent
 oracle for small square instances.  All three are deterministic: a fixed
 input always yields the same answer.
 
+A tree step finalizes the cheapest open column.  When its path cost ties
+that of the column finalized just before it, the step takes every open
+column at that cost at once, in index order, as the SCAN phase of Jonker
+and Volgenant (Computing 38, 1987) does: the tree ends at the first free
+one among them, if any, and otherwise their rows are relaxed in that
+order.  On integer costs this is Dial's bucket form of Dijkstra (CACM
+12(11), 1969), and one step can finalize dozens of tied columns.
+
 The core, ``_shortest_augmenting_paths``, takes finite entries only, as
 Crouse's solver does, and does not check them: the entry points above
 check the matrices callers pass in, and ``_solve_finite``, through which
@@ -126,9 +134,15 @@ def _shortest_augmenting_paths(c: np.ndarray) -> tuple:
     any sign with s <= t, which it does not check.  Returns each row's
     column.  A row takes its cheapest column of ``c[row] - v`` if it is
     free, or else a free column tied with it (Crouse's rule), leaving
-    ``v`` as it is; only the other rows reset the tree scratch, relax one
-    tree row per step and update duals.  Should the arithmetic leave no
-    finite path, it raises ValidationError rather than loop.
+    ``v`` as it is; only the other rows reset the tree scratch, grow the
+    tree and update duals.  A tree step whose cheapest path cost equals
+    that of the column finalized last takes the whole level of open
+    columns at that cost, in index order (Jonker and Volgenant's SCAN,
+    Dial's buckets on integer costs): it ends the tree at the level's
+    first free column, or else finalizes them all and relaxes their rows
+    one at a time; any other step finalizes one column and relaxes its
+    row.  Should the arithmetic leave no finite path, it raises
+    ValidationError rather than loop.
 
     Matrices at most ``LIST_CORE_MAX_COLS`` wide run over Python lists,
     wider ones over numpy arrays; both give the same columns."""
@@ -174,25 +188,34 @@ def _paths_over_lists(c: np.ndarray) -> tuple:
         parent_row = [start_row] * t
         open_cols = list(range(t))
         final_cols, final_costs = [], []    # in order, the last one free
+        last = inf          # path cost of the column finalized last
         while True:
             base = min(dist)    # path cost of the cheapest open column
             if base == inf:
                 raise ValidationError("cost matrix entries must be finite")
-            j = dist.index(base)
-            final_cols.append(j)
-            final_costs.append(base)
-            dist[j] = inf
-            open_cols.remove(j)
-            i = row_of_col[j]
-            if i < 0:
+            # a tie with the last column takes the whole level at base
+            level = ([k for k in open_cols if dist[k] == base] if base == last
+                     else [dist.index(base)])
+            for j in level:
+                final_cols.append(j)
+                final_costs.append(base)
+                if row_of_col[j] < 0:
+                    break
+                dist[j] = inf
+                open_cols.remove(j)
+            if row_of_col[j] < 0:
                 break
-            # relax every open column through row i, reached at cost base
-            row, lift = rows[i], base - u[i]
-            for k in open_cols:
-                reached = row[k] - v[k] + lift
-                if reached < dist[k]:
-                    dist[k] = reached
-                    parent_row[k] = i
+            # relax every open column through each row of the level in
+            # turn, reached at cost base
+            for j in level:
+                i = row_of_col[j]
+                row, lift = rows[i], base - u[i]
+                for k in open_cols:
+                    reached = row[k] - v[k] + lift
+                    if reached < dist[k]:
+                        dist[k] = reached
+                        parent_row[k] = i
+            last = base
 
         # dual update keeps reduced costs nonnegative and tree edges tight;
         # the free column's v would move by cost - base = 0
@@ -231,7 +254,8 @@ def _paths_over_arrays(c: np.ndarray) -> tuple:
     # tree scratch, reused across rows
     dist = np.empty(t)          # tentative path costs; +inf once a column is final
     better = np.empty(t, dtype=bool)
-    open_cols = np.empty(t, dtype=bool)
+    reach_v = np.empty(t)       # v, and -inf once a column is final: c - v
+                                # is then +inf there, never below dist
     parent_row = np.empty(t, dtype=np.intp)
 
     for start_row in range(s):
@@ -258,27 +282,36 @@ def _paths_over_arrays(c: np.ndarray) -> tuple:
 
         np.copyto(dist, reduced)    # the tree starts from the first relaxation
         parent_row.fill(start_row)
-        open_cols.fill(True)
+        np.copyto(reach_v, v)
         final_cols, final_costs = [], []    # in order, the last one free
+        last = np.inf       # path cost of the column finalized last
         while True:
             j = int(dist.argmin())
             base = float(dist[j])   # path cost of the cheapest open column
             if base == np.inf:
                 raise ValidationError("cost matrix entries must be finite")
-            final_cols.append(j)
-            final_costs.append(base)
-            dist[j] = np.inf
-            open_cols[j] = False
-            i = row_of_col[j]
-            if i < 0:
+            # a tie with the last column takes the whole level at base
+            level = ((dist == base).nonzero()[0].tolist() if base == last
+                     else [j])
+            for j in level:
+                final_cols.append(j)
+                final_costs.append(base)
+                if row_of_col[j] < 0:
+                    break
+                dist[j] = np.inf
+                reach_v[j] = -np.inf
+            if row_of_col[j] < 0:
                 break
-            # relax every open column through row i, reached at cost base
-            np.subtract(c[i], v, out=reduced)
-            reduced += base - u[i]
-            np.less(reduced, dist, out=better)
-            better &= open_cols
-            np.copyto(dist, reduced, where=better)
-            np.copyto(parent_row, i, where=better)
+            # relax every open column through each row of the level in
+            # turn, reached at cost base
+            for j in level:
+                i = row_of_col[j]
+                np.subtract(c[i], reach_v, out=reduced)
+                reduced += base - u[i]
+                np.less(reduced, dist, out=better)
+                np.copyto(dist, reduced, where=better)
+                np.copyto(parent_row, i, where=better)
+            last = base
 
         # dual update keeps reduced costs nonnegative and tree edges tight
         u[start_row] += base

@@ -259,7 +259,13 @@ def validate_penalty(space: Space, penalty: PenaltyFunction,
     elements = list(dict.fromkeys(space.validate_elements(sample)))
     if not elements:
         raise ValidationError("admissibility check needs a non-empty sample")
+    return _admissibility_report(space, penalty, elements)
 
+
+def _admissibility_report(space: Space, penalty: PenaltyFunction,
+                          elements: Sequence) -> PenaltyValidityReport:
+    """``validate_penalty`` over distinct canonical elements of ``space``,
+    at least one, which it takes as they are: it validates none of them."""
     values = penalty.values(elements).tolist()
     violations = []
     for x, mx, row in zip(elements, values,

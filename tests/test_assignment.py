@@ -364,3 +364,74 @@ def test_core_is_optimal_on_costs_of_any_sign(kind, t):
                     assert total == best
                 else:
                     assert total == pytest.approx(best, rel=1e-9, abs=1e-9)
+
+
+# The level rule: a tree step whose path cost ties the column finalized
+# just before it takes every open column at that cost, in index order.
+# Rows 0 .. s-2 each take their first zero by one edge; the last row's
+# cheapest columns are all taken, so it grows the tree.  9 is "far".
+CORES = (setmetrics.assignment._paths_over_lists,
+         setmetrics.assignment._paths_over_arrays)
+
+
+def rule_matrix(rows):
+    return np.array(rows, dtype=float)
+
+
+@pytest.mark.parametrize("core", CORES, ids=("lists", "arrays"))
+def test_a_level_ends_the_tree_at_its_first_free_column(core):
+    # Step 1 finalizes column 0 and reaches the free column 3 through row
+    # 0 at the same cost 0.  Step 2 ties it: the level is columns 1
+    # (taken) and 3 (free), so the tree ends at 3 without relaxing row 1,
+    # whose zero at column 2 a step per column would reach first.
+    c = rule_matrix([[0, 9, 9, 0],
+                     [9, 0, 0, 9],
+                     [0, 0, 5, 5]])
+    assert core(c) == (3, 1, 0)
+
+
+@pytest.mark.parametrize("core", CORES, ids=("lists", "arrays"))
+@pytest.mark.parametrize("first, second, columns",
+                         [(2, 1, (2, 1, 3, 0)), (1, 2, (0, 4, 2, 1))],
+                         ids=("through its last row", "through its first row"))
+def test_a_level_of_taken_columns_relaxes_every_row(core, first, second,
+                                                    columns):
+    # The level is columns 1 and 2, taken by rows 1 and 2.  Row 1 reaches
+    # free column 4 at cost ``first``, row 2 free column 3 at ``second``;
+    # the cheaper one ends the tree, so both rows must be relaxed.
+    c = rule_matrix([[0, 9, 0, 9, 9],
+                     [9, 0, 9, 9, first],
+                     [9, 9, 0, second, 9],
+                     [0, 0, 5, 5, 5]])
+    assert core(c) == columns
+    assert float(c[np.arange(4), list(columns)].sum()) == \
+        scipy_injection_total(c) == 1.0
+
+
+@pytest.mark.parametrize("core", CORES, ids=("lists", "arrays"))
+def test_a_column_reached_at_the_level_cost_joins_the_next_level(core):
+    # Level 1 is columns 1 and 2.  Relaxing their rows reaches column 3
+    # (taken) and the free column 5 at the same cost 0, so the next step
+    # is a level too: it holds 3 and 5 and ends at 5, before row 3's zero
+    # at the free column 4 is reached.
+    c = rule_matrix([[0, 9, 0, 9, 9, 9, 9],
+                     [9, 0, 9, 0, 9, 9, 9],
+                     [9, 9, 0, 9, 9, 0, 9],
+                     [9, 9, 9, 0, 0, 9, 9],
+                     [0, 0, 5, 5, 5, 5, 5]])
+    assert core(c) == (2, 1, 5, 3, 0)
+
+
+def test_integers_0_to_20_under_time_budget():
+    # Costs 0-20 tie often inside the search tree; a tree step per column
+    # took over five times this budget (best of 3, CPU) at this size.
+    rng = np.random.default_rng(2000)
+    c = rng.integers(0, 21, size=(2000, 2000)).astype(float)
+    elapsed = []
+    for _ in range(3):
+        start = time.process_time()
+        cols, total = solve_injection(c)
+        elapsed.append(time.process_time() - start)
+    assert min(elapsed) < 0.1
+    assert_is_injection(c, cols, total)
+    assert total == scipy_injection_total(c)

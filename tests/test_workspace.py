@@ -138,6 +138,18 @@ def test_sequence_text_rejects_ragged_and_empty_input():
         loads_sequence_sets("\n\n# only comments\n")
 
 
+def test_sequence_text_alphabet_takes_symbols_first_seen_in_a_late_block():
+    # The first word holds two of the symbols; "γ" first shows in the second
+    # block and "𝔸", outside the Basic Multilingual Plane, in the third.
+    ws = loads_sequence_sets("αβα\nββα\n\nαγβ\nαγβ\n\nβα𝔸\nααα\n")
+    assert ws.space.alphabet == "".join(sorted("αβγ𝔸"))
+    assert ws.space.length == 3
+    assert ws.set_names() == ["set_1", "set_2", "set_3"]
+    assert ws.sets["set_2"].elements == ("αγβ",)
+    assert ws.sets["set_3"].elements == tuple(sorted(["βα𝔸", "ααα"]))
+    assert ws.notices == ["set 'set_2': dropped 1 duplicate element(s)"]
+
+
 def test_certify_rejects_uncovered_table_and_accepts_covering_one():
     doc = """
     {"space": {"kind": "hamming", "alphabet": "01", "length": 2},
@@ -175,6 +187,18 @@ def test_certify_passes_builtin_variants():
     certify_penalty(ws)
     ws.penalty = EccentricityPenalty(ws.space)
     certify_penalty(ws)
+
+
+def test_certify_validates_no_element(monkeypatch):
+    # The table's domain is canonical: certifying it validates nothing.
+    ws = loads_workspace("""
+    {"space": {"kind": "graph", "edges": [[0, 1, 1.0], [1, 2, 1.0]]},
+     "m_function": {"variant": "table", "entries": [[0, 2], [1, 1], [2, 2]]},
+     "sets": {"A": [0, 2], "B": [1]}}
+    """)
+    calls = count_validations(monkeypatch, ws.space)
+    certify_penalty(ws)
+    assert calls == []
 
 
 def test_get_set_unknown_name():
