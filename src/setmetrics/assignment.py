@@ -1,7 +1,7 @@
 """Exact minimum-cost injections of rows into columns.
 
-``solve_injection`` matches every row of an s x t nonnegative cost matrix
-(s <= t) to a distinct column at minimum total cost; the t - s columns
+``solve_injection`` matches every row of an s x t cost matrix (s <= t)
+to a distinct column at minimum total cost; the t - s columns
 left over are simply unused.  It is a shortest-augmenting-path method
 with dual potentials (Jonker-Volgenant style).  A row whose cheapest column
 is free takes it by that one edge, and so does a row whose cheapest column
@@ -22,13 +22,13 @@ order.  On integer costs this is Dial's bucket form of Dijkstra (CACM
 12(11), 1969), and one step can finalize dozens of tied columns.
 
 The core, ``_shortest_augmenting_paths``, takes finite entries only, as
-Crouse's solver does, and does not check them: the entry points above
-check the matrices callers pass in, and ``_solve_finite``, through which
-the package's own distances reach the core, refuses non-finite ones.
-The package's costs d - M are <= 0, and the core solves them as they
-are: its dual potentials, and so its optimality conditions, hold for
-entries of any sign (Kuhn, 1955).  The core returns only the columns; a
-caller that needs the total sums it.
+Crouse's solver does, and does not check them.  One rule guards it: the
+entry points above and ``_solve_finite``, through which the package's
+own distances reach the core, refuse a matrix unless its spread max - min
+is finite.  The package's costs d - M are <= 0, and the core solves them
+as they are: its dual potentials, and so its optimality conditions, hold
+for entries of any sign (Kuhn, 1955).  The core returns only the
+columns; a caller that needs the total sums it.
 
 The core takes a numpy array and has two forms.  On matrices at most
 ``LIST_CORE_MAX_COLS`` (32) wide it reads the array into Python lists
@@ -73,7 +73,10 @@ class Assignment:
 
 
 def _as_cost_array(cost_matrix, square: bool = True) -> np.ndarray:
-    c = np.asarray(cost_matrix, dtype=float)
+    try:
+        c = np.asarray(cost_matrix, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"cost matrix must be an array of reals: {exc}")
     shape_ok = c.ndim == 2 and c.size > 0
     if square and not (shape_ok and c.shape[0] == c.shape[1]):
         raise ValidationError(
@@ -82,10 +85,8 @@ def _as_cost_array(cost_matrix, square: bool = True) -> np.ndarray:
         raise ValidationError(
             "cost matrix must be non-empty and its rows must not exceed "
             f"its columns, got shape {c.shape}")
-    if not np.isfinite(c).all():
+    if not math.isfinite(float(c.max()) - float(c.min())):
         raise ValidationError("cost matrix entries must be finite")
-    if (c < 0).any():
-        raise ValidationError("cost matrix entries must be nonnegative")
     return c
 
 
@@ -93,9 +94,9 @@ def solve_injection(cost_matrix) -> tuple:
     """Return ``(columns, total)`` for a minimum-total-cost injection of
     the rows into the columns: row i goes to column ``columns[i]``.
 
-    Accepts anything convertible to an s x t numpy array of finite
-    nonnegative reals with 1 <= s <= t.  Any optimal injection may be
-    returned when the optimum is not unique.
+    Accepts anything convertible to an s x t numpy array of reals with
+    1 <= s <= t and a finite spread max - min.  Any optimal injection may
+    be returned when the optimum is not unique.
     """
     c = _as_cost_array(cost_matrix, square=False)
     columns = _shortest_augmenting_paths(c)
@@ -105,9 +106,9 @@ def solve_injection(cost_matrix) -> tuple:
 def solve_assignment(cost_matrix) -> Assignment:
     """Return a minimum-total-cost perfect assignment of rows to columns.
 
-    Accepts anything convertible to a square numpy array of finite
-    nonnegative reals.  Any optimal permutation may be returned when the
-    optimum is not unique.
+    Accepts anything convertible to a square numpy array of reals with a
+    finite spread max - min.  Any optimal permutation may be returned when
+    the optimum is not unique.
     """
     c = _as_cost_array(cost_matrix)
     columns = _shortest_augmenting_paths(c)
@@ -226,16 +227,20 @@ def _paths_over_lists(c: np.ndarray) -> tuple:
                 moved.add(j)
             v[j] += cost - base
 
-        # augment along the alternating path ending at the free column
-        j = final_cols[-1]
-        while True:
-            i = parent_row[j]
-            row_of_col[j] = i
-            j, col_of_row[i] = col_of_row[i], j
-            if i == start_row:
-                break
+        _augment(final_cols[-1], start_row, parent_row, row_of_col, col_of_row)
 
     return tuple(col_of_row)
+
+
+def _augment(j, start_row, parent_row, row_of_col, col_of_row):
+    """Flip the tree path from ``start_row`` to the free column ``j``, for
+    either core form: ``parent_row`` may be a list or an array."""
+    while True:
+        i = int(parent_row[j])
+        row_of_col[j] = i
+        j, col_of_row[i] = col_of_row[i], j
+        if i == start_row:
+            return
 
 
 def _paths_over_arrays(c: np.ndarray) -> tuple:
@@ -262,20 +267,19 @@ def _paths_over_arrays(c: np.ndarray) -> tuple:
         reduced = c[start_row] - v  # the first relaxation: u[start_row] is 0
         j = int(reduced.argmin())
         base = float(reduced[j])
+        if row_of_col[j] >= 0:
+            # rows since the last tree each took one edge and still hold it
+            for r in range(synced, start_row):
+                blocked[col_of_row[r]] = np.inf
+            synced = start_row
+            # a free column tied at the minimum, if any; dist is scratch
+            # until the tree starts
+            np.add(reduced, blocked, out=dist)
+            k = int(dist.argmin())
+            if dist[k] == base:
+                j = k
+        # one edge, leaving v as it is
         if row_of_col[j] < 0:
-            u[start_row] += base
-            col_of_row[start_row], row_of_col[j] = j, start_row
-            continue
-
-        # rows since the last tree each took one edge and still hold it
-        for r in range(synced, start_row):
-            blocked[col_of_row[r]] = np.inf
-        synced = start_row
-        # a free column tied at the minimum, if any; dist is scratch until
-        # the tree starts
-        np.add(reduced, blocked, out=dist)
-        j = int(dist.argmin())
-        if dist[j] == base:
             u[start_row] += base
             col_of_row[start_row], row_of_col[j] = j, start_row
             continue
@@ -319,14 +323,7 @@ def _paths_over_arrays(c: np.ndarray) -> tuple:
             u[row_of_col[j]] += base - cost
         v[final_cols] += np.subtract(final_costs, base)
 
-        # augment along the alternating path ending at the free column
-        j = final_cols[-1]
-        while True:
-            i = int(parent_row[j])
-            row_of_col[j] = i
-            j, col_of_row[i] = col_of_row[i], j
-            if i == start_row:
-                break
+        _augment(final_cols[-1], start_row, parent_row, row_of_col, col_of_row)
         blocked[final_cols[-1]] = np.inf
         synced = start_row + 1
 

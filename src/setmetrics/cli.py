@@ -33,8 +33,8 @@ import numpy as np
 from .comparisons import (ComparisonKind, brute_force_link_distance,
                           comparison_distance)
 from .errors import DomainError, ParseError, SizeLimitError, ValidationError
-from .penalties import (EccentricityPenalty, TablePenalty, parse_penalty_spec,
-                        validate_penalty)
+from .penalties import EccentricityPenalty, TablePenalty, parse_penalty_spec
+from .penalties import _admissibility_report as validate_penalty
 from .spaces import EuclideanBoxSpace, element_to_json
 from .subset_distance import (PointSet, brute_force_subset_distance,
                               pool_distances, subset_distance)
@@ -161,7 +161,8 @@ def _sample_sets(ws: Workspace, rng: np.random.Generator, count: int):
     sets = []
     for _ in range(count):
         size = int(rng.integers(0, 5))
-        sets.append(PointSet(ws.space, {draw() for _ in range(size)}))
+        sets.append(PointSet._from_valid(
+            ws.space, list({draw() for _ in range(size)})))
     return sets
 
 
@@ -172,10 +173,10 @@ def _penalty_sample(ws: Workspace, rng: np.random.Generator, samples: int):
     count = ws.space.element_count()
     if count is not None and count <= 64:
         return list(ws.space.elements())
-    # validate_penalty drops repeats, keeping first-seen order.
+    # Each distinct element once, in order of first appearance.
     elems = [x for ps in ws.sets.values() for x in ps]
     elems.extend(ws.space.sample_element(rng) for _ in range(samples))
-    return elems
+    return list(dict.fromkeys(elems))
 
 
 def cmd_validate(args) -> int:

@@ -93,17 +93,23 @@ def test_tie_heavy_integers_under_time_budget(shape):
     assert total == scipy_injection_total(c)
 
 
+#: Inputs that are no matrix of reals: ragged rows, a string, complex.
+MALFORMED = ([[1.0, 2.0], [3.0]], "abc", [[1 + 2j]])
+
+
 def test_rejects_bad_matrices():
     with pytest.raises(ValidationError):
         solve_assignment([[1.0, 2.0]])  # not square
     with pytest.raises(ValidationError):
         solve_assignment([])
     with pytest.raises(ValidationError):
-        solve_assignment([[-1.0]])
-    with pytest.raises(ValidationError):
         solve_assignment([[float("nan")]])
     with pytest.raises(ValidationError):
         solve_assignment([[float("inf")]])
+    for solve in (solve_assignment, brute_force_assignment):
+        for bad in MALFORMED:
+            with pytest.raises(ValidationError):
+                solve(bad)
 
 
 def test_brute_force_size_cap():
@@ -183,9 +189,62 @@ def test_injection_rejects_bad_matrices():
     for empty in ([], [[]], np.zeros((0, 3))):
         with pytest.raises(ValidationError):
             solve_injection(empty)
-    for bad in (-1.0, float("nan"), float("inf"), -float("inf")):
+    for bad in (float("nan"), float("inf"), -float("inf")):
         with pytest.raises(ValidationError):
             solve_injection([[0.0, bad]])
+    for bad in MALFORMED:
+        with pytest.raises(ValidationError):
+            solve_injection(bad)
+
+
+def signed_public_matrix(rng, integers, shape):
+    if integers:
+        return rng.integers(-20, 21, size=shape).astype(float)
+    return rng.normal(size=shape) * 10.0 ** rng.integers(-6, 10, size=shape)
+
+
+def assert_total(total, best, c, integers):
+    if integers:
+        assert total == best
+    else:
+        assert total == pytest.approx(best, rel=1e-9,
+                                      abs=1e-9 * np.abs(c).max())
+
+
+@pytest.mark.parametrize("integers", (True, False), ids=("integers", "normals"))
+def test_entry_points_solve_costs_of_any_sign(integers):
+    # The entry points refuse by the spread rule alone, so the paper's own
+    # costs d - M, and any signed matrix, are solved as they are.
+    rng = np.random.default_rng([19, integers])
+    for t in (1, 2, 7, 32, 33, 64, 150):
+        for s in sorted({1, max(1, t // 2), t}):
+            c = signed_public_matrix(rng, integers, (s, t))
+            best = scipy_injection_total(c)
+            cols, total = solve_injection(c)
+            assert_is_injection(c, cols, total)
+            assert_total(total, best, c, integers)
+            if s == t:
+                assert_total(solve_assignment(c).total_cost, best, c, integers)
+
+
+@pytest.mark.parametrize("integers", (True, False), ids=("integers", "normals"))
+def test_brute_force_agrees_on_costs_of_any_sign(integers):
+    rng = np.random.default_rng([9, integers])
+    for n in range(1, 10):
+        c = signed_public_matrix(rng, integers, (n, n))
+        assert_total(brute_force_assignment(c).total_cost,
+                     solve_assignment(c).total_cost, c, integers)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("bad", (-1.7e308, float("nan"), float("inf"),
+                                 -float("inf")))
+def test_entry_points_refuse_only_an_infinite_spread(bad):
+    # 1e308 and -1.7e308 are each finite, but their spread is not.
+    c = [[1e308, bad], [0.0, 1.0]]
+    for solve in (solve_injection, solve_assignment, brute_force_assignment):
+        with pytest.raises(ValidationError, match="finite"):
+            solve(c)
 
 
 def test_package_distances_skip_the_matrix_checks(monkeypatch):

@@ -11,8 +11,10 @@ import numpy as np
 import pytest
 
 import setmetrics.workspace
-from setmetrics import EuclideanBoxSpace
+from setmetrics import EuclideanBoxSpace, GraphSpace
 from setmetrics.cli import main
+
+from generators import count_validations
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -404,6 +406,31 @@ def test_validate_samples_a_partial_graph_table_from_its_domain(tmp_path,
     report = json.loads(out)
     assert report["ok"] is True
     assert report["pairs_checked"]
+
+
+@pytest.mark.parametrize("kind", ("graph table", "box eccentricity"))
+def test_validate_checks_only_the_elements_its_file_holds(tmp_path, capsys,
+                                                          monkeypatch, kind):
+    # Loading validates the file's elements; the table's domain, the
+    # sampled elements and the sampled sets are canonical already.
+    if kind == "graph table":
+        space = GraphSpace([(0, 1, 1.0)])
+        path = tmp_path / "table.json"
+        path.write_text(json.dumps(
+            {"space": {"kind": "graph",
+                       "edges": [[0, 1, 1.0], [1, 2, 1.0], [2, 3, 1.0]]},
+             "m_function": {"variant": "table",
+                            "entries": [[0, 3], [1, 2], [2, 2], [3, 3]]},
+             "sets": {"A": [0, 1], "B": [2, 3]}}))
+    else:
+        space, path = EuclideanBoxSpace([(0.0, 1.0)]), fx("unit_square.json")
+    calls = count_validations(monkeypatch, space)
+    setmetrics.workspace.load_workspace(str(path))
+    loaded = len(calls)
+    assert loaded
+    code, _, _ = run(capsys, "validate", str(path), "--samples", "3")
+    assert code == 0
+    assert len(calls) == 2 * loaded
 
 
 def test_validate_is_reproducible_per_seed(capsys):

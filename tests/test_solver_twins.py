@@ -125,3 +125,52 @@ def cost_matrices(draw):
 def test_twins_agree_on_generated_matrices(c):
     columns = assert_twins_agree(c)
     assert sorted(set(columns)) == sorted(columns)
+
+
+def words(rng, count, length=12):
+    return ["".join(w) for w in rng.choice(list("ACGT"), size=(count, length))]
+
+
+def swap(word, i):
+    """``word`` with the letter at ``i`` replaced: one letter off."""
+    return word[:i] + ("A" if word[i] != "A" else "C") + word[i + 1:]
+
+
+def hamming_costs(rng, s, t, length=12):
+    """Costs d - L of s ACGT words of length L against t distinct ones,
+    the lopsided shapes the numpy form runs.  Copies of targets take their
+    columns by one edge.  With s >= 2, row ``w`` takes column a by one edge
+    although it ties column k > a, and a later row ``x`` finds its first
+    cheapest column a taken and ties it with a free column b > k: Crouse's
+    rule takes b, while a tree from x would reach k through w at the same
+    cost and end there.  Any other rows are drawn at random."""
+    targets = sorted(set(words(rng, t, length)))
+    while len(targets) < t:
+        targets = sorted(set(targets + words(rng, 1, length)))
+    sources = []
+    if s >= 2:
+        a, k, b = sorted(int(i) for i in rng.choice(t, size=3, replace=False))
+        w = words(rng, 1, length)[0]
+        x = swap(swap(w, 0), length - 1)
+        targets[a], targets[k], targets[b] = swap(w, 0), swap(w, 1), swap(x, 2)
+        others = [i for i in rng.permutation(t) if i not in (a, k, b)]
+        copies = [targets[i] for i in others[:int(rng.integers(0, s - 1))]]
+        half = int(rng.integers(0, len(copies) + 1))
+        sources = copies[:half] + [w] + copies[half:] + [x]
+    sources += words(rng, s - len(sources), length)
+    return np.array([[sum(p != q for p, q in zip(y, z)) - length
+                      for z in targets] for y in sources], dtype=float)
+
+
+@pytest.mark.parametrize("t", (100, 113, 148))
+def test_twins_agree_above_the_cut_over(t):
+    # The numpy form's lazy tie lookup, behind runs of one-edge rows, and
+    # its level scan on tie-heavy integers, against the list form.
+    rng = np.random.default_rng([t, 19])
+    for s in range(1, 9):
+        for _ in range(4):
+            assert_twins_agree(hamming_costs(rng, s, t))
+    for s in (1, 8, t // 2, t):
+        assert_twins_agree(rng.integers(0, 3, size=(s, t)).astype(float))
+    t = int(rng.integers(64, 100))
+    assert_twins_agree(rng.integers(0, 3, size=(t // 2, t)).astype(float))
