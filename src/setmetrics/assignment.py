@@ -74,7 +74,11 @@ class Assignment:
 
 def _as_cost_array(cost_matrix, square: bool = True) -> np.ndarray:
     try:
-        c = np.asarray(cost_matrix, dtype=float)
+        c = np.asarray(cost_matrix)
+        # refused before the cast, which would keep only the real parts
+        if np.iscomplexobj(c):
+            raise TypeError("complex entries")
+        c = c.astype(float, copy=False)
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"cost matrix must be an array of reals: {exc}")
     shape_ok = c.ndim == 2 and c.size > 0
@@ -85,7 +89,7 @@ def _as_cost_array(cost_matrix, square: bool = True) -> np.ndarray:
         raise ValidationError(
             "cost matrix must be non-empty and its rows must not exceed "
             f"its columns, got shape {c.shape}")
-    if not math.isfinite(float(c.max()) - float(c.min())):
+    if not _finite_spread(c):
         raise ValidationError("cost matrix entries must be finite")
     return c
 
@@ -120,9 +124,16 @@ def _solve_finite(cost: np.ndarray) -> tuple:
     any sign.  Raises ValidationError, with no warning, unless the spread
     of the entries, and so every entry, is finite: the core subtracts
     entries from one another through its potentials."""
-    if not math.isfinite(float(cost.max()) - float(cost.min())):
+    if not _finite_spread(cost):
         raise ValidationError("cost matrix entries must be finite")
     return _shortest_augmenting_paths(cost)
+
+
+def _finite_spread(c: np.ndarray) -> bool:
+    """Whether max - min of a non-empty array is finite.  Then so is the
+    spread of every sub-matrix: its max is no larger and its min no
+    smaller, and rounding the difference is monotone."""
+    return math.isfinite(float(c.max()) - float(c.min()))
 
 
 def _total(c: np.ndarray, columns: tuple) -> float:

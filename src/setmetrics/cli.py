@@ -9,11 +9,13 @@ Four subcommands over workspace files:
       complete space: the sets {0, 1/n} get arbitrarily close to each
       other yet stay boundedly far from every fixed candidate limit
 
-``matrix --metric subset`` and ``validate`` gather the subset distances
-of their pool's pairs from one numpy table of the pool's elements
-(``pool_distances``), for a union of up to ``POOL_TABLE_MAX_ELEMENTS``
-elements; larger pools run ``subset_distance`` per pair.  Either way
-each value is the one ``subset_distance`` gives, bit for bit.
+``matrix``, for every metric, and ``validate`` gather the distances of
+their pool's pairs from one numpy table of the pool's elements, for a
+union of up to ``POOL_TABLE_MAX_ELEMENTS`` elements: ``pool_distances``
+for the subset metric, whose costs d - M it also prepares once per pool,
+and ``pool_comparison_distances`` for the others.  Larger pools run
+``subset_distance`` or ``comparison_distance`` per pair.  Either way
+each value is the one those give, bit for bit.
 
 Exit codes: 0 success, 1 validation or axiom failure, 2 parse or usage
 error.  Real numbers are printed with 9 significant digits and '.' as
@@ -31,7 +33,7 @@ import sys
 import numpy as np
 
 from .comparisons import (ComparisonKind, brute_force_link_distance,
-                          comparison_distance)
+                          comparison_distance, pool_comparison_distances)
 from .errors import DomainError, ParseError, SizeLimitError, ValidationError
 from .penalties import EccentricityPenalty, TablePenalty, parse_penalty_spec
 from .penalties import _admissibility_report as validate_penalty
@@ -128,10 +130,8 @@ def cmd_matrix(args) -> int:
             certify_penalty(ws)
         distance = pool_distances(ws.space, ws.penalty, pool)
     else:
-        kind = _COMPARISONS[args.metric]
-
-        def distance(i: int, j: int) -> float:
-            return comparison_distance(kind, ws.space, pool[i], pool[j])
+        distance = pool_comparison_distances(_COMPARISONS[args.metric],
+                                             ws.space, pool)
     values = [[0.0] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):

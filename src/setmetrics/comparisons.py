@@ -10,13 +10,19 @@ The surjective variants minimize over every function from the larger
 set onto the smaller one, by direct enumeration; the link distance is a
 minimum-weight edge cover, solved exactly via a matching reduction and
 cross-checkable against a relation-enumeration oracle.
+
+Each distance is a kernel over the distances of a pair, a row per
+element of the larger set and a column per element of the smaller.  The
+public functions run it on the pair's own ``space.pairwise``, and
+``pool_comparison_distances`` on blocks of one table over a pool.
 """
 
 from __future__ import annotations
 
 import enum
-import itertools
+import functools
 import math
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -25,7 +31,7 @@ from .assignment import _solve_finite, _total
 from .assignment import solve_assignment  # noqa: F401
 from .errors import DomainError, SizeLimitError, ValidationError
 from .spaces import Space
-from .subset_distance import PointSet, orient
+from .subset_distance import PointSet, _gather, _number_pool, orient
 
 #: Cap on max(|a|, |b|) for the surjection enumerators (7^7 functions).
 SURJECTION_MAX_SET = 7
@@ -41,33 +47,40 @@ class ComparisonKind(str, enum.Enum):
     LINK = "link"
 
 
+_EMPTY = "comparison distances are undefined for empty sets"
+
+
 def _check_pair(space: Space, a: PointSet, b: PointSet):
     for s in (a, b):
         if s.space != space:
             raise ValidationError("point set belongs to a different space")
         if len(s) == 0:
-            raise DomainError("comparison distances are undefined for empty sets")
+            raise DomainError(_EMPTY)
 
 
-def hausdorff_distance(space: Space, a: PointSet, b: PointSet) -> float:
-    """max of the two directed distances max_x min_y d(x, y)."""
+def _larger_by_smaller(space: Space, a: PointSet, b: PointSet) -> np.ndarray:
+    """The distances every kernel below takes: a row per element of the
+    larger set and a column per element of the smaller, as ``orient``
+    tells them apart.  Hausdorff and sum-min combine their two directed
+    terms by ``max`` and ``+``, which commute, so for them either
+    orientation gives the same bits."""
     _check_pair(space, a, b)
-    d = space.pairwise(a.elements, b.elements)
+    small, big, _ = orient(a, b)
+    return space.pairwise(big.elements, small.elements)
+
+
+def _hausdorff(d: np.ndarray) -> float:
     return float(max(d.min(axis=1).max(), d.min(axis=0).max()))
 
 
-def sum_min_distance(space: Space, a: PointSet, b: PointSet) -> float:
-    """Half the sum, over both sides, of each element's distance to the
-    nearest element of the other set."""
-    _check_pair(space, a, b)
-    d = space.pairwise(a.elements, b.elements)
+def _sum_min(d: np.ndarray) -> float:
     # a sum past the largest float is inf, for the caller to refuse
     with np.errstate(over="ignore"):
-        a_to_b, b_to_a = float(d.min(axis=1).sum()), float(d.min(axis=0).sum())
-    total = a_to_b + b_to_a
+        rows, cols = float(d.min(axis=1).sum()), float(d.min(axis=0).sum())
+    total = rows + cols
     if total == math.inf:
         # halving first is exact, and overflows only when the answer does
-        return 0.5 * a_to_b + 0.5 * b_to_a
+        return 0.5 * rows + 0.5 * cols
     return 0.5 * total
 
 
@@ -85,10 +98,8 @@ def _surjections(n: int, m: int) -> np.ndarray:
     return funcs[occupied == (1 << m) - 1]
 
 
-def _min_over_functions(space, a, b, fair: bool) -> float:
-    _check_pair(space, a, b)
-    small, big, _ = orient(a, b)
-    n, m = len(big), len(small)
+def _min_over_surjections(d: np.ndarray, fair: bool) -> float:
+    n, m = d.shape
     if n > SURJECTION_MAX_SET:
         raise SizeLimitError(
             f"surjection enumeration limited to sets of size {SURJECTION_MAX_SET}, "
@@ -97,41 +108,13 @@ def _min_over_functions(space, a, b, fair: bool) -> float:
     if fair:
         counts = np.stack([(funcs == t).sum(axis=1) for t in range(m)], axis=1)
         funcs = funcs[counts.max(axis=1) - counts.min(axis=1) <= 1]
-    d = space.pairwise(big.elements, small.elements)
     costs = np.zeros(len(funcs))
     for i in range(n):
         costs += d[i, funcs[:, i]]
     return float(costs.min())
 
 
-def surjective_distance(space: Space, a: PointSet, b: PointSet) -> float:
-    """Cheapest way to map the larger set onto the smaller one, summing
-    the distance of every element to its image."""
-    return _min_over_functions(space, a, b, fair=False)
-
-
-def fair_surjective_distance(space: Space, a: PointSet, b: PointSet) -> float:
-    """Like surjective_distance, but only over surjections whose preimage
-    sizes differ by at most one."""
-    return _min_over_functions(space, a, b, fair=True)
-
-
-def link_distance(space: Space, a: PointSet, b: PointSet) -> float:
-    """Cheapest relation between the sets that covers every element of
-    both sides, summing the distances of its pairs.
-
-    This is a minimum-weight edge cover of the complete bipartite graph:
-    each element grabs its cheapest counterpart, then a matching over the
-    (truncated) reduced costs min(d - cheap_row - cheap_col, 0) undoes
-    double coverage exactly where pairing is worth it.  The matching is
-    solved as an injection of the smaller side into the larger: reduced
-    costs are <= 0, so sending every small element to a distinct big
-    element never costs more than leaving it unmatched, and the optimum
-    over injections equals the optimum over all matchings.
-    """
-    _check_pair(space, a, b)
-    small, big, _ = orient(a, b)
-    d = space.pairwise(big.elements, small.elements)
+def _link(d: np.ndarray) -> float:
     row_cheap = d.min(axis=1)
     col_cheap = d.min(axis=0)
     reduced = np.minimum(d - row_cheap[:, None] - col_cheap[None, :], 0.0)
@@ -148,6 +131,45 @@ def link_distance(space: Space, a: PointSet, b: PointSet) -> float:
         # added in this order, the sum overflows only when the answer does
         return row_total + correction + col_total
     return base + correction
+
+
+def hausdorff_distance(space: Space, a: PointSet, b: PointSet) -> float:
+    """max of the two directed distances max_x min_y d(x, y)."""
+    return _hausdorff(_larger_by_smaller(space, a, b))
+
+
+def sum_min_distance(space: Space, a: PointSet, b: PointSet) -> float:
+    """Half the sum, over both sides, of each element's distance to the
+    nearest element of the other set."""
+    return _sum_min(_larger_by_smaller(space, a, b))
+
+
+def surjective_distance(space: Space, a: PointSet, b: PointSet) -> float:
+    """Cheapest way to map the larger set onto the smaller one, summing
+    the distance of every element to its image."""
+    return _min_over_surjections(_larger_by_smaller(space, a, b), fair=False)
+
+
+def fair_surjective_distance(space: Space, a: PointSet, b: PointSet) -> float:
+    """Like surjective_distance, but only over surjections whose preimage
+    sizes differ by at most one."""
+    return _min_over_surjections(_larger_by_smaller(space, a, b), fair=True)
+
+
+def link_distance(space: Space, a: PointSet, b: PointSet) -> float:
+    """Cheapest relation between the sets that covers every element of
+    both sides, summing the distances of its pairs.
+
+    This is a minimum-weight edge cover of the complete bipartite graph:
+    each element grabs its cheapest counterpart, then a matching over the
+    (truncated) reduced costs min(d - cheap_row - cheap_col, 0) undoes
+    double coverage exactly where pairing is worth it.  The matching is
+    solved as an injection of the smaller side into the larger: reduced
+    costs are <= 0, so sending every small element to a distinct big
+    element never costs more than leaving it unmatched, and the optimum
+    over injections equals the optimum over all matchings.
+    """
+    return _link(_larger_by_smaller(space, a, b))
 
 
 def brute_force_link_distance(space: Space, a: PointSet, b: PointSet) -> float:
@@ -168,15 +190,57 @@ def brute_force_link_distance(space: Space, a: PointSet, b: PointSet) -> float:
     return float(costs.min())
 
 
-_DISPATCH = {
-    ComparisonKind.HAUSDORFF: hausdorff_distance,
-    ComparisonKind.SUM_MIN: sum_min_distance,
-    ComparisonKind.SURJECTIVE: surjective_distance,
-    ComparisonKind.FAIR_SURJECTIVE: fair_surjective_distance,
-    ComparisonKind.LINK: link_distance,
+_KERNELS = {
+    ComparisonKind.HAUSDORFF: _hausdorff,
+    ComparisonKind.SUM_MIN: _sum_min,
+    ComparisonKind.SURJECTIVE: functools.partial(_min_over_surjections,
+                                                 fair=False),
+    ComparisonKind.FAIR_SURJECTIVE: functools.partial(_min_over_surjections,
+                                                      fair=True),
+    ComparisonKind.LINK: _link,
 }
 
 
 def comparison_distance(kind: ComparisonKind, space: Space, a: PointSet,
                         b: PointSet) -> float:
-    return _DISPATCH[ComparisonKind(kind)](space, a, b)
+    return _KERNELS[ComparisonKind(kind)](_larger_by_smaller(space, a, b))
+
+
+def pool_comparison_distances(kind: ComparisonKind, space: Space,
+                              pool: Sequence[PointSet]
+                              ) -> Callable[[int, int], float]:
+    """``distance(i, j)``, equal bit for bit to
+    ``comparison_distance(kind, space, pool[i], pool[j])``, for callers
+    that want the distances of many pairs drawn from one pool.
+
+    The pool is numbered as ``pool_distances`` numbers it, and each pair
+    runs the kernel of ``kind`` on its block of one U x U table of
+    ``space.pairwise``, oriented on ids.  An empty set, or a set too large
+    for the surjections, raises from the first pair that meets it.  Pools
+    whose union has more than ``POOL_TABLE_MAX_ELEMENTS`` elements run
+    ``comparison_distance`` per pair.
+    """
+    kernel = _KERNELS[ComparisonKind(kind)]
+    for s in pool:
+        if s.space != space:
+            raise ValidationError("point set belongs to a different space")
+    numbered = _number_pool(pool)
+    if numbered is None:
+        def per_pair(i: int, j: int) -> float:
+            return comparison_distance(kind, space, pool[i], pool[j])
+        return per_pair
+    union, id_sets = numbered
+    table = None    # made by the first pair
+
+    def distance(i: int, j: int) -> float:
+        nonlocal table
+        small, big = id_sets[i], id_sets[j]
+        if not (small and big):
+            raise DomainError(_EMPTY)
+        if (len(small), small) > (len(big), big):
+            small, big = big, small
+        if table is None:
+            table = space.pairwise(union, union)
+        return kernel(_gather(table, big, small))
+
+    return distance

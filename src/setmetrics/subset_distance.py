@@ -30,7 +30,8 @@ from typing import Callable, Iterable, Mapping, Sequence, Union
 
 import numpy as np
 
-from .assignment import _solve_finite
+from .assignment import (_finite_spread, _shortest_augmenting_paths,
+                         _solve_finite)
 # Unused here; bound so that perfbench/tracing.py can wrap it by name.
 from .assignment import solve_assignment  # noqa: F401
 from .errors import SizeLimitError, ValidationError
@@ -43,8 +44,10 @@ BRUTE_FORCE_MAX_SET = 7
 #: Witness pairs per pairwise call in chi_distance.
 _CHI_BLOCK = 64
 
-#: Largest union U of a pool's elements that ``pool_distances`` numbers
-#: and holds as one U x U table of float64 distances: at most 8 MB.
+#: Largest union U of a pool's elements that ``pool_distances`` and
+#: ``pool_comparison_distances`` number and hold as U x U float64 tables:
+#: the distances d, and for subset pairs also the costs d - M, so at most
+#: 8 MB each.
 POOL_TABLE_MAX_ELEMENTS = 1024
 
 
@@ -280,24 +283,34 @@ def subset_distance(space: Space, penalty: PenaltyFunction, a: PointSet,
     reduced_a, reduced_b = symmetric_difference_reduce(a, b)
     source, target, from_a = orient(reduced_a, reduced_b)
     src, tgt = source.elements, target.elements
-    cols, value = _solve_reduced(space.pairwise(src, tgt),
-                                 penalty.values(tgt))
+    dist, penalties = space.pairwise(src, tgt), penalty.values(tgt)
+    # No taller than wide, so valid without solve_injection's checks;
+    # _solve_finite refuses entries whose spread overflows a float.
+    cols = _solve_finite(dist - penalties) if src else ()
+    value = _injection_cost([dist.item(i, j) for i, j in enumerate(cols)],
+                            penalties.tolist(), set(cols))
     pairs = tuple((x, tgt[j]) for x, j in zip(src, cols))
     return SubsetDistanceResult(value, Injection(pairs, value),
                                 reduced_a, reduced_b, common, from_a)
 
 
-def _solve_reduced(dist: np.ndarray, penalties: np.ndarray) -> tuple:
-    """``(columns, value)`` for sets already reduced and oriented:
-    ``dist`` holds d(x, y), a row per source x and a column per target y,
-    and ``penalties`` M(y) per target.  ``columns`` is a minimum
-    injection on the costs d - M and ``value`` its cost as
-    ``_injection_cost`` sums it."""
-    # No taller than wide, so valid without solve_injection's checks;
-    # _solve_finite refuses entries whose spread overflows a float.
-    cols = _solve_finite(dist - penalties) if len(dist) else ()
-    matched = [dist.item(i, j) for i, j in enumerate(cols)]
-    return cols, _injection_cost(matched, penalties.tolist(), set(cols))
+def _number_pool(pool: Sequence[PointSet]):
+    """``(union, id_sets)``: the union U of the pool's elements in sorted
+    order, and each set as the ids, indices into U, of its elements, so
+    that lists of ids compare as the sets' elements do; or None when U
+    has more than ``POOL_TABLE_MAX_ELEMENTS`` elements."""
+    union = sorted(set().union(*pool))
+    if len(union) > POOL_TABLE_MAX_ELEMENTS:
+        return None
+    ids = {x: k for k, x in enumerate(union)}
+    return union, [[ids[x] for x in ps] for ps in pool]
+
+
+def _gather(table: np.ndarray, rows: list, cols: list) -> np.ndarray:
+    """The block of ``table`` at the lists of ids ``rows`` and ``cols``."""
+    # intp arrays, so that empty ids keep the shapes
+    return (table.take(np.array(rows, dtype=np.intp), axis=0)
+            .take(np.array(cols, dtype=np.intp), axis=1))
 
 
 def pool_distances(space: Space, penalty: PenaltyFunction,
@@ -307,50 +320,55 @@ def pool_distances(space: Space, penalty: PenaltyFunction,
     callers that want the distances of many pairs drawn from one pool.
 
     When the union U of the pool's elements has at most
-    ``POOL_TABLE_MAX_ELEMENTS``, it numbers U in sorted order once, takes
-    one vector of ``penalty.values`` and, when a pair first needs it, one
-    U x U table of ``space.pairwise``.  Each pair is then reduced and
-    oriented on lists of ids, which compare as the elements do, and
-    gathers its distances and penalties from those with ``take``: no
-    PointSet and no ``pairwise`` call per pair.  A ``pairwise`` entry
-    depends only on its pair and a ``values`` entry only on its element,
-    so the floats, and the solve, are those of the pair's own
-    ``subset_distance``.  Larger pools, and a penalty with no value for
+    ``POOL_TABLE_MAX_ELEMENTS``, it numbers U once and reads the
+    penalties M of U once.  The first pair with a source takes the U x U
+    table d of ``space.pairwise`` and the costs C = d - M of every pair,
+    and tests C's spread once, as ``_solve_finite`` tests each pair's: no
+    block of C spreads wider, so each pair's block, the floats of its
+    own d - M, goes straight to the solver core.  Pairs are reduced and
+    oriented on lists of ids and re-summed from d and M as
+    ``subset_distance`` does.  Larger pools, a penalty with no value for
     some element of U (a table penalty, whose error then comes from the
-    pair that meets it), run ``subset_distance``.
+    pair that meets it) and a C whose spread overflows a float, while a
+    pair's may not, run ``subset_distance`` per pair.
     """
     _check_bound(space, penalty, *pool)
 
     def per_pair(i: int, j: int) -> float:
         return subset_distance(space, penalty, pool[i], pool[j]).value
 
-    union = sorted(set().union(*pool))
-    if len(union) > POOL_TABLE_MAX_ELEMENTS:
+    numbered = _number_pool(pool)
+    if numbered is None:
         return per_pair
+    union, id_sets = numbered
     try:
         penalties = penalty.values(union)
     except ValidationError:
         return per_pair
-    ids = {x: k for k, x in enumerate(union)}
-    id_sets = [[ids[x] for x in ps] for ps in pool]
-    members = [frozenset(ids_) for ids_ in id_sets]
-    # no rows until the first pair with a source makes the U x U table
-    table = np.empty((0, len(union)))
+    listed = penalties.tolist()
+    members = [frozenset(ids) for ids in id_sets]
+    table = costs = None    # made by the first pair with a source
+    finite = True
 
     def distance(i: int, j: int) -> float:
-        nonlocal table
+        nonlocal table, costs, finite
         a, b = id_sets[i], id_sets[j]
         if not members[i].isdisjoint(members[j]):
             a = [k for k in a if k not in members[j]]
             b = [k for k in b if k not in members[i]]
         if (len(a), a) > (len(b), b):
             a, b = b, a
-        if a and not len(table):
-            table = space.pairwise(union, union)
-        # intp arrays, so that empty ids keep the shapes
-        b = np.array(b, dtype=np.intp)
-        dist = table.take(np.array(a, dtype=np.intp), axis=0).take(b, axis=1)
-        return _solve_reduced(dist, penalties.take(b))[1]
+        cols = ()
+        if a:
+            if costs is None:
+                table = space.pairwise(union, union)
+                costs = table - penalties
+                finite = _finite_spread(costs)
+            if not finite:
+                return per_pair(i, j)
+            cols = _shortest_augmenting_paths(_gather(costs, a, b))
+        return _injection_cost([table.item(x, b[c]) for x, c in zip(a, cols)],
+                               [listed[k] for k in b], set(cols))
 
     return distance
 

@@ -494,3 +494,20 @@ def test_integers_0_to_20_under_time_budget():
     assert min(elapsed) < 0.1
     assert_is_injection(c, cols, total)
     assert total == scipy_injection_total(c)
+
+
+@pytest.mark.parametrize("solve, matrix", [
+    (solve_injection, np.array([[1 + 2j, 3]])),
+    (solve_injection, [[np.complex128(1 + 2j), 3.0]]),
+    (solve_assignment, np.array([[1 + 2j, 3], [4, 5]])),
+    (solve_assignment, np.array([[1 + 0j]])),
+    (brute_force_assignment, np.array([[1 + 2j, 3], [4, 5]])),
+    (brute_force_assignment, [[np.complex64(2 - 1j)]]),
+])
+@pytest.mark.filterwarnings("error")
+def test_complex_arrays_are_refused_not_solved_on_their_real_parts(solve,
+                                                                   matrix):
+    # A cast to float would drop the imaginary parts with a warning and
+    # solve what is left; a list of Python complex numbers is refused too.
+    with pytest.raises(ValidationError, match="complex"):
+        solve(matrix)

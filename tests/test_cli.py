@@ -339,6 +339,36 @@ def test_matrix_makes_one_table_for_a_pool_of_large_sets(tmp_path, monkeypatch,
     assert calls == {"pairwise": 1, "subset_distance": 0}
 
 
+def test_matrix_makes_one_table_for_the_comparison_metrics(tmp_path,
+                                                           monkeypatch, capsys):
+    # Every comparison pair is gathered from the pool's one table, as the
+    # subset pairs are: one pairwise call, and no comparison_distance.
+    module = importlib.import_module("setmetrics.comparisons")
+    rng = np.random.default_rng(3)
+    points = rng.uniform(0.0, 1.0, size=(28, 2)).round(6).tolist()
+    doc = {"space": {"kind": "euclidean_box", "bounds": [[0.0, 1.0], [0.0, 1.0]]},
+           "sets": {"A": points[:2], "B": points[2:15], "C": points[15:]}}
+    path = tmp_path / "box.json"
+    path.write_text(json.dumps(doc))
+    calls = {"pairwise": 0, "comparison_distance": 0}
+
+    def counted(owner, name):
+        original = getattr(owner, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counted(EuclideanBoxSpace, "pairwise")
+    counted(module, "comparison_distance")
+    for metric in ("link", "hausdorff", "md"):
+        calls.update(pairwise=0)
+        code, _, _ = run(capsys, "matrix", str(path), "--metric", metric)
+        assert code == 0
+        assert calls == {"pairwise": 1, "comparison_distance": 0}
+
+
 def test_validate_good_fixtures_exit_zero(capsys):
     for name in ("hamming_small.json", "dna.json", "unit_interval.json",
                  "unit_square.json", "graph_path.json"):

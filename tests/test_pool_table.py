@@ -3,9 +3,11 @@
 ``pool_distances`` numbers the union of a pool's elements once, builds one
 distance table and one penalty vector, and solves each pair on ids.  Every
 value must equal ``subset_distance(...).value`` bit for bit, in both
-argument orders, on every space kind.
+argument orders, on every space kind.  ``pool_comparison_distances`` does
+the same for the comparison distances and ``comparison_distance``.
 """
 
+import importlib
 import math
 
 import numpy as np
@@ -13,9 +15,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from setmetrics import (ConstantPenalty, DiameterPenalty, EccentricityPenalty,
-                        EuclideanBoxSpace, GraphSpace, HammingSpace, PointSet,
-                        TablePenalty, ValidationError, subset_distance)
+from setmetrics import (ComparisonKind, ConstantPenalty, DiameterPenalty,
+                        DomainError, EccentricityPenalty, EuclideanBoxSpace,
+                        GraphSpace, HammingSpace, PointSet, SizeLimitError,
+                        TablePenalty, ValidationError, comparison_distance,
+                        subset_distance)
+from setmetrics.comparisons import pool_comparison_distances
 from setmetrics.spaces import REAL_TOL
 from setmetrics.subset_distance import pool_distances
 
@@ -120,3 +125,107 @@ def test_missing_table_entry_raises_from_the_pair_that_meets_it():
         subset_distance(path, table, pool[0], PointSet(path, []))
     with pytest.raises(ValidationError, match="no table entry for element 3"):
         pool_distances(path, table, pool + [PointSet(path, [])])(0, 2)
+
+
+def outcome(compute):
+    """A value as its hex, or an error as its type and message."""
+    try:
+        return compute().hex()
+    except (ValidationError, DomainError, SizeLimitError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def test_costs_spread_past_a_float_run_every_pair_as_subset_distance():
+    # The pool's costs d - M run from -1.1e308 to 1e308, a spread no float
+    # holds, yet every pair's own costs are solvable and its distance is
+    # finite: the pool runs subset_distance per pair rather than raise.
+    path = GraphSpace([(0, 1, 1.2e308)])
+    table = TablePenalty(path, {0: 2e307, 1: 1.1e308})
+    pool = [PointSet(path, [0]), PointSet(path, [1]), PointSet(path, [0, 1]),
+            PointSet(path, [])]
+    distance = pool_distances(path, table, pool)
+    assert distance(0, 1) == distance(1, 0) == 1.2e308
+    for i, a in enumerate(pool):
+        for j, b in enumerate(pool):
+            expected = subset_distance(path, table, a, b).value
+            assert distance(i, j).hex() == expected.hex(), (a, b)
+
+
+def test_non_finite_costs_raise_from_the_pair_subset_distance_raises_from():
+    # An uncertified table near the float limit: the pair of {0, 1} and
+    # {2, 3} raises "finite" as subset_distance does, and no other pair.
+    graph = GraphSpace([(0, 2, 1.0), (1, 2, 1.0), (2, 3, 1e308)])
+    table = TablePenalty(graph, {0: 0.0, 1: 0.0, 2: 1.7e308, 3: 0.0})
+    pool = [PointSet(graph, [0, 1]), PointSet(graph, [2, 3]),
+            PointSet(graph, [0]), PointSet(graph, [])]
+    distance = pool_distances(graph, table, pool)
+    raised = []
+    for i, a in enumerate(pool):
+        for j, b in enumerate(pool):
+            expected = outcome(lambda: subset_distance(graph, table, a, b).value)
+            assert outcome(lambda: distance(i, j)) == expected, (a, b)
+            if isinstance(expected, tuple):
+                assert "finite" in expected[1]
+                raised.append((i, j))
+    assert (0, 1) in raised and (1, 0) in raised
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(pools(), st.sampled_from(list(ComparisonKind)))
+def test_comparisons_from_the_pool_equal_comparison_distance(case, kind):
+    # The pool always holds an empty set, so DomainError is met, too.
+    space, _, pool = case
+    distance = pool_comparison_distances(kind, space, pool)
+    for i, a in enumerate(pool):
+        for j, b in enumerate(pool):
+            expected = outcome(lambda: comparison_distance(kind, space, a, b))
+            assert outcome(lambda: distance(i, j)) == expected, (kind, a, b)
+
+
+def test_a_pool_holding_an_empty_set_raises_from_each_pair_that_meets_it():
+    line = EuclideanBoxSpace([(0.0, 1.0)])
+    pool = [PointSet(line, [(0.0,), (0.5,)]), PointSet(line, []),
+            PointSet(line, [(1.0,)])]
+    for kind in ComparisonKind:
+        distance = pool_comparison_distances(kind, line, pool)
+        assert distance(0, 2) == distance(2, 0) == \
+            comparison_distance(kind, line, pool[0], pool[2])
+        for i, j in ((0, 1), (1, 0), (1, 1), (1, 2)):
+            with pytest.raises(DomainError, match="empty sets"):
+                distance(i, j)
+
+
+def test_a_set_of_eight_raises_size_limit_for_the_surjections():
+    words = HammingSpace("01", 3)
+    pool = [PointSet(words, ["000", "111"]), PointSet(words, words.elements())]
+    for kind in (ComparisonKind.SURJECTIVE, ComparisonKind.FAIR_SURJECTIVE):
+        distance = pool_comparison_distances(kind, words, pool)
+        assert distance(0, 0) == 0.0
+        for i, j in ((0, 1), (1, 0), (1, 1)):
+            with pytest.raises(SizeLimitError, match="got 8"):
+                distance(i, j)
+
+
+def test_comparison_pools_over_the_bound_run_comparison_distance(monkeypatch):
+    module = importlib.import_module("setmetrics.subset_distance")
+    comparisons = importlib.import_module("setmetrics.comparisons")
+    calls = []
+    original = comparisons.comparison_distance
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(comparisons, "comparison_distance", counted)
+    rng = np.random.default_rng(8)
+    pool = [PointSet(BOX, [BOX.sample_element(rng) for _ in range(size)])
+            for size in (1, 3, 5)]
+    for bound, per_pair in ((9, 0), (8, 9)):
+        monkeypatch.setattr(module, "POOL_TABLE_MAX_ELEMENTS", bound)
+        distance = pool_comparison_distances(ComparisonKind.LINK, BOX, pool)
+        for i, a in enumerate(pool):
+            for j, b in enumerate(pool):
+                assert distance(i, j).hex() == \
+                    original(ComparisonKind.LINK, BOX, a, b).hex()
+        assert len(calls) == per_pair
+        calls.clear()
