@@ -183,9 +183,11 @@ class HammingSpace(Space):
 
     def pairwise(self, xs: Sequence[str], ys: Sequence[str]) -> np.ndarray:
         # Count mismatched code points; utf-32 keeps any alphabet exact.
+        # Each count is at most the length, so einsum adds it exactly in
+        # float64, in any order.
         p, q = (np.frombuffer("".join(words).encode("utf-32-le"), dtype="<u4")
                 .reshape(len(words), self.length) for words in (xs, ys))
-        return (p[:, None, :] != q[None, :, :]).sum(axis=2, dtype=float)
+        return np.einsum("ijk->ij", p[:, None, :] != q[None, :, :], dtype=float)
 
     def eccentricities(self, xs: Sequence[str]) -> np.ndarray:
         # With >= 2 symbols a word differing in every coordinate exists.

@@ -78,14 +78,15 @@ class PointSet:
         return ps
 
     def _fill(self, space: Space, canonical: list):
-        unique = sorted(set(canonical))
-        if len(unique) != len(canonical):
+        # Hashed once; the set keeps the first of equal elements.
+        members = frozenset(canonical)
+        if len(members) != len(canonical):
             warnings.warn(DuplicateElementsWarning(
-                f"dropped {len(canonical) - len(unique)} duplicate element(s)"),
+                f"dropped {len(canonical) - len(members)} duplicate element(s)"),
                 stacklevel=3)
         self.space = space
-        self.elements = tuple(unique)
-        self._members = frozenset(unique)
+        self.elements = tuple(sorted(members))
+        self._members = members
 
     @classmethod
     def _from_canonical(cls, space: Space, elements: tuple) -> "PointSet":
@@ -247,14 +248,17 @@ def chi_distance(space: Space, penalty: PenaltyFunction, a: PointSet,
 
 def _injection_cost(distances, penalties, matched) -> float:
     """Matched distances in source order, then the penalties of target
-    indices not in ``matched``: every reported subset distance is this
-    sum.  Left to right, as built-in ``sum`` compensates from Python 3.12."""
+    indices not in ``matched``, in index order: every reported subset
+    distance is this sum.  Left to right, as built-in ``sum`` compensates
+    from Python 3.12."""
     total = 0.0
     for d in distances:
         total += d
-    for j, m in enumerate(penalties):
-        if j not in matched:
-            total += m
+    keep = [True] * len(penalties)
+    for j in matched:
+        keep[j] = False
+    for m in itertools.compress(penalties, keep):
+        total += m
     return total
 
 
@@ -288,7 +292,7 @@ def subset_distance(space: Space, penalty: PenaltyFunction, a: PointSet,
     # _solve_finite refuses entries whose spread overflows a float.
     cols = _solve_finite(dist - penalties) if src else ()
     value = _injection_cost([dist.item(i, j) for i, j in enumerate(cols)],
-                            penalties.tolist(), set(cols))
+                            penalties.tolist(), cols)
     pairs = tuple((x, tgt[j]) for x, j in zip(src, cols))
     return SubsetDistanceResult(value, Injection(pairs, value),
                                 reduced_a, reduced_b, common, from_a)
@@ -368,7 +372,7 @@ def pool_distances(space: Space, penalty: PenaltyFunction,
                 return per_pair(i, j)
             cols = _shortest_augmenting_paths(_gather(costs, a, b))
         return _injection_cost([table.item(x, b[c]) for x, c in zip(a, cols)],
-                               [listed[k] for k in b], set(cols))
+                               [listed[k] for k in b], cols)
 
     return distance
 

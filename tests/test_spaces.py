@@ -2,6 +2,8 @@
 
 import itertools
 import math
+import string
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -259,11 +261,36 @@ def test_pairwise_equals_distance_exactly_on_every_kind():
 
 def test_hamming_pairwise_equals_a_literal_count_on_any_alphabet():
     rng = np.random.default_rng(37)
-    for alphabet in ("01", "ACGT", "αβ𝔸"):
-        hs = HammingSpace(alphabet, 5)
-        xs = [hs.sample_element(rng) for _ in range(12)]
-        assert hs.pairwise(xs, xs).tolist() == [
-            [float(sum(u != v for u, v in zip(x, y))) for y in xs] for x in xs]
+    symbols64 = string.ascii_letters + string.digits + "+/"
+    # (alphabet, length, |xs|, |ys|); xs and ys are prefixes of one draw
+    for alphabet, length, s, t in (
+            ("01", 5, 12, 12), ("ACGT", 5, 12, 12), ("αβ𝔸", 5, 12, 12),
+            (symbols64, 20, 30, 40), ("ACGT", 12, 1, 148), ("ACGT", 12, 8, 148),
+            ("ACGT", 12, 0, 148), ("ACGT", 12, 8, 0)):
+        hs = HammingSpace(alphabet, length)
+        words = [hs.sample_element(rng) for _ in range(max(s, t))]
+        xs, ys = words[:s], words[:t]
+        m = hs.pairwise(xs, ys)
+        assert m.dtype == np.float64 and m.shape == (s, t)
+        assert m.tolist() == [
+            [float(sum(u != v for u, v in zip(x, y))) for y in ys] for x in xs]
+
+
+def test_hamming_pairwise_holds_one_mismatch_array_at_a_time():
+    # s*t*L bytes of mismatches and the s*t float64 result: a float cast
+    # of the mismatches, 8*s*t*L bytes, would not fit.
+    s = t = 600
+    hs = HammingSpace("ACGT", 20)
+    rng = np.random.default_rng(41)
+    xs = [hs.sample_element(rng) for _ in range(s)]
+    ys = [hs.sample_element(rng) for _ in range(t)]
+    tracemalloc.start()
+    try:
+        hs.pairwise(xs, ys)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= s * t * hs.length + 8 * s * t + 2 ** 20
 
 
 def test_euclidean_pairwise_stays_within_a_few_ulp_of_math_dist():

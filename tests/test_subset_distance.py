@@ -1,9 +1,12 @@
 """The injection-based subset distance and its brute-force oracle."""
 
+import math
 import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
 from setmetrics import (ConstantPenalty, DiameterPenalty,
@@ -15,6 +18,7 @@ from setmetrics import (ConstantPenalty, DiameterPenalty,
                         chi_distance, sequence_subset_distance,
                         subset_distance, symmetric_difference_reduce,
                         validate_injection)
+from setmetrics.subset_distance import _injection_cost
 
 from generators import (count_validations, literal_sequence_distance,
                         random_penalty, random_point_set, space_family,
@@ -32,6 +36,22 @@ def test_point_set_sorts_and_deduplicates():
     assert ps.elements == ("000", "111")
     assert "000" in ps and "010" not in ps
     assert len(ps) == 2
+
+
+def test_point_set_keeps_the_first_of_equal_elements():
+    # 0.0 == -0.0, so the two points are one element; the first given
+    # stands for it everywhere the set shows it.
+    box = unit_interval()
+    for points, dropped in (([(0.0,), (-0.0,)], 1), ([(-0.0,), (0.0,)], 1),
+                            ([(-0.0,), (0.0,), (0.0,), (-0.0,)], 3)):
+        with pytest.warns(DuplicateElementsWarning,
+                          match=f"dropped {dropped} duplicate"):
+            ps = PointSet(box, points)
+        sign = math.copysign(1.0, points[0][0])
+        (x,), (member,) = ps.elements, ps._members
+        (listed,), = ps.to_json()
+        assert [math.copysign(1.0, v) for v in (x[0], member[0], listed)] \
+            == [sign] * 3
 
 
 def test_point_set_set_algebra():
@@ -107,6 +127,36 @@ def test_chi_cost_rejects_bad_injections():
         chi_distance(hs, pen, a, b, {"010": "011", "001": "111"})
     with pytest.raises(ValidationError):  # wrong orientation
         chi_distance(hs, pen, b, PointSet(hs, ["000"]), {"011": "000"})
+
+
+def _literal_injection_cost(distances, penalties, matched) -> float:
+    total = 0.0
+    for d in distances:
+        total += d
+    for j in range(len(penalties)):
+        if j not in set(matched):
+            total += penalties[j]
+    return total
+
+
+# Signed reals from 1e-8 to 1e8, so that adding them in another order
+# almost always rounds differently.
+_SPREAD_REALS = st.builds(lambda sign, exponent: sign * 10.0 ** exponent,
+                          st.sampled_from((1.0, -1.0)), st.floats(-8.0, 8.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_SPREAD_REALS, max_size=12), st.data())
+def test_injection_cost_adds_in_its_documented_order(penalties, data):
+    # value == chi_distance(witness) calls _injection_cost on both sides,
+    # so only a literal loop can catch a change in the order of the adds.
+    cols = data.draw(st.permutations(range(len(penalties))))
+    cols = cols[:data.draw(st.integers(0, len(penalties)))]
+    distances = data.draw(st.lists(_SPREAD_REALS, min_size=len(cols),
+                                   max_size=len(cols)))
+    expected = _literal_injection_cost(distances, penalties, cols).hex()
+    for matched in (cols, tuple(cols), set(cols), sorted(cols)):
+        assert _injection_cost(distances, penalties, matched).hex() == expected
 
 
 def test_validate_injection_rejects_non_pairs_and_repeated_sources():
