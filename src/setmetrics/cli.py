@@ -13,9 +13,10 @@ Four subcommands over workspace files:
 their pool's pairs from one numpy table of the pool's elements, for a
 union of up to ``POOL_TABLE_MAX_ELEMENTS`` elements: ``pool_distances``
 for the subset metric, whose costs d - M it also prepares once per pool,
-and ``pool_comparison_distances`` for the others.  Larger pools run
-``subset_distance`` or ``comparison_distance`` per pair.  Either way
-each value is the one those give, bit for bit.
+and ``pool_comparison_distances`` for the others.  Each prepares its
+tables before the first pair.  Larger pools run ``subset_distance`` or
+``comparison_distance`` per pair.  Either way each value is the one
+those give, bit for bit.
 
 Exit codes: 0 success, 1 validation or axiom failure, 2 parse or usage
 error.  Real numbers are printed with 9 significant digits and '.' as

@@ -30,8 +30,8 @@ from .assignment import _solve_finite, _total
 # Unused here; bound so that perfbench/tracing.py can wrap it by name.
 from .assignment import solve_assignment  # noqa: F401
 from .errors import DomainError, SizeLimitError, ValidationError
-from .spaces import Space
-from .subset_distance import PointSet, _gather, _number_pool, orient
+from .spaces import Space, _take_block
+from .subset_distance import PointSet, _prepare_pool, orient
 
 #: Cap on max(|a|, |b|) for the surjection enumerators (7^7 functions).
 SURJECTION_MAX_SET = 7
@@ -213,34 +213,30 @@ def pool_comparison_distances(kind: ComparisonKind, space: Space,
     ``comparison_distance(kind, space, pool[i], pool[j])``, for callers
     that want the distances of many pairs drawn from one pool.
 
-    The pool is numbered as ``pool_distances`` numbers it, and each pair
-    runs the kernel of ``kind`` on its block of one U x U table of
-    ``space.pairwise``, oriented on ids.  An empty set, or a set too large
-    for the surjections, raises from the first pair that meets it.  Pools
-    whose union has more than ``POOL_TABLE_MAX_ELEMENTS`` elements run
-    ``comparison_distance`` per pair.
+    Before it returns, the pool is numbered, and its one U x U table of
+    ``space.pairwise`` taken, as ``pool_distances`` prepares it.  Each
+    pair runs the kernel of ``kind`` on its block of the table, oriented
+    on ids.  An empty set, or a set too large for the surjections, raises
+    from the first pair that meets it.  Pools whose union has more than
+    ``POOL_TABLE_MAX_ELEMENTS`` elements run ``comparison_distance`` per
+    pair.
     """
     kernel = _KERNELS[ComparisonKind(kind)]
     for s in pool:
         if s.space != space:
             raise ValidationError("point set belongs to a different space")
-    numbered = _number_pool(pool)
-    if numbered is None:
+    _, id_sets, table = _prepare_pool(space, pool)
+    if table is None:
         def per_pair(i: int, j: int) -> float:
             return comparison_distance(kind, space, pool[i], pool[j])
         return per_pair
-    union, id_sets = numbered
-    table = None    # made by the first pair
 
     def distance(i: int, j: int) -> float:
-        nonlocal table
         small, big = id_sets[i], id_sets[j]
         if not (small and big):
             raise DomainError(_EMPTY)
         if (len(small), small) > (len(big), big):
             small, big = big, small
-        if table is None:
-            table = space.pairwise(union, union)
-        return kernel(_gather(table, big, small))
+        return kernel(_take_block(table, big, small))
 
     return distance

@@ -370,9 +370,7 @@ class GraphSpace(Space):
         return super().validate_elements(items)
 
     def pairwise(self, xs: Sequence[int], ys: Sequence[int]) -> np.ndarray:
-        # take gathers what np.ix_ indexing would, with less overhead.
-        return (self._dist.take(np.array(xs, dtype=np.intp), axis=0)
-                .take(np.array(ys, dtype=np.intp), axis=1))
+        return _take_block(self._dist, xs, ys)
 
     def eccentricities(self, xs: Sequence[int]) -> np.ndarray:
         return self._ecc[np.array(xs, dtype=np.intp)]
@@ -393,6 +391,15 @@ class GraphSpace(Space):
 
     def _key(self) -> tuple:
         return (self.kind, self.vertex_count, self.edges)
+
+
+def _take_block(table: np.ndarray, rows: Sequence[int],
+                cols: Sequence[int]) -> np.ndarray:
+    """The block of ``table`` at the index lists ``rows`` and ``cols``:
+    what np.ix_ indexing gathers, with less overhead.  The lists go in as
+    intp arrays, so that empty ones keep the block's shape."""
+    return (table.take(np.array(rows, dtype=np.intp), axis=0)
+            .take(np.array(cols, dtype=np.intp), axis=1))
 
 
 def _shortest_paths(dm: np.ndarray) -> np.ndarray:

@@ -36,7 +36,7 @@ from .assignment import (_finite_spread, _shortest_augmenting_paths,
 from .assignment import solve_assignment  # noqa: F401
 from .errors import SizeLimitError, ValidationError
 from .penalties import ConstantPenalty, PenaltyFunction
-from .spaces import Element, HammingSpace, Space
+from .spaces import Element, HammingSpace, Space, _take_block
 
 #: Largest set size accepted by the injection enumerator (7!/1! injections).
 BRUTE_FORCE_MAX_SET = 7
@@ -175,11 +175,14 @@ ChiLike = Union[Injection, Mapping, Iterable]
 
 
 def _normalize_chi(chi: ChiLike):
+    """The entries of ``chi`` as tuples; a string, or an entry that is not
+    iterable, as it came, for the caller to refuse."""
     if isinstance(chi, Injection):
         return list(chi.pairs)
     if isinstance(chi, Mapping):
         return list(chi.items())
-    return [tuple(p) for p in chi]
+    return [p if isinstance(p, (str, bytes)) or not isinstance(p, Iterable)
+            else tuple(p) for p in chi]
 
 
 def validate_injection(a: PointSet, b: PointSet, chi: ChiLike) -> tuple:
@@ -187,7 +190,7 @@ def validate_injection(a: PointSet, b: PointSet, chi: ChiLike) -> tuple:
     pairs canonically ordered by source."""
     pairs = []
     for entry in _normalize_chi(chi):
-        if len(entry) != 2:
+        if not isinstance(entry, tuple) or len(entry) != 2:
             raise ValidationError(f"injection entry {entry!r} is not a pair")
         x = a.space.validate_element(entry[0])
         y = b.space.validate_element(entry[1])
@@ -298,23 +301,18 @@ def subset_distance(space: Space, penalty: PenaltyFunction, a: PointSet,
                                 reduced_a, reduced_b, common, from_a)
 
 
-def _number_pool(pool: Sequence[PointSet]):
-    """``(union, id_sets)``: the union U of the pool's elements in sorted
-    order, and each set as the ids, indices into U, of its elements, so
-    that lists of ids compare as the sets' elements do; or None when U
+def _prepare_pool(space: Space, pool: Sequence[PointSet]):
+    """``(union, id_sets, table)``: the union U of the pool's elements in
+    sorted order; each set as the ids, indices into U, of its elements, so
+    that lists of ids compare as the sets' elements do; and the U x U
+    table of ``space.pairwise``.  The ids and the table are None when U
     has more than ``POOL_TABLE_MAX_ELEMENTS`` elements."""
     union = sorted(set().union(*pool))
     if len(union) > POOL_TABLE_MAX_ELEMENTS:
-        return None
+        return union, None, None
     ids = {x: k for k, x in enumerate(union)}
-    return union, [[ids[x] for x in ps] for ps in pool]
-
-
-def _gather(table: np.ndarray, rows: list, cols: list) -> np.ndarray:
-    """The block of ``table`` at the lists of ids ``rows`` and ``cols``."""
-    # intp arrays, so that empty ids keep the shapes
-    return (table.take(np.array(rows, dtype=np.intp), axis=0)
-            .take(np.array(cols, dtype=np.intp), axis=1))
+    return (union, [[ids[x] for x in ps] for ps in pool],
+            space.pairwise(union, union))
 
 
 def pool_distances(space: Space, penalty: PenaltyFunction,
@@ -323,54 +321,46 @@ def pool_distances(space: Space, penalty: PenaltyFunction,
     ``subset_distance(space, penalty, pool[i], pool[j]).value``, for
     callers that want the distances of many pairs drawn from one pool.
 
-    When the union U of the pool's elements has at most
-    ``POOL_TABLE_MAX_ELEMENTS``, it numbers U once and reads the
-    penalties M of U once.  The first pair with a source takes the U x U
-    table d of ``space.pairwise`` and the costs C = d - M of every pair,
-    and tests C's spread once, as ``_solve_finite`` tests each pair's: no
-    block of C spreads wider, so each pair's block, the floats of its
-    own d - M, goes straight to the solver core.  Pairs are reduced and
+    Before it returns, it prepares the pool once: it numbers the union U
+    of the pool's elements, takes the U x U table d of ``space.pairwise``,
+    reads the penalties M of U and forms the costs C = d - M of every
+    pair, and tests C's spread, as ``_solve_finite`` tests each pair's: no
+    block of C spreads wider, so each pair's block, the floats of its own
+    d - M, goes straight to the solver core.  Pairs are reduced and
     oriented on lists of ids and re-summed from d and M as
-    ``subset_distance`` does.  Larger pools, a penalty with no value for
-    some element of U (a table penalty, whose error then comes from the
-    pair that meets it) and a C whose spread overflows a float, while a
-    pair's may not, run ``subset_distance`` per pair.
+    ``subset_distance`` does.  It runs ``subset_distance`` per pair
+    instead when U has more than ``POOL_TABLE_MAX_ELEMENTS`` elements,
+    when the penalty has no value for some element of U (a table penalty,
+    whose error then comes from the pair that meets it), or when C's
+    spread overflows a float, while a pair's may not.
     """
     _check_bound(space, penalty, *pool)
 
     def per_pair(i: int, j: int) -> float:
         return subset_distance(space, penalty, pool[i], pool[j]).value
 
-    numbered = _number_pool(pool)
-    if numbered is None:
+    union, id_sets, table = _prepare_pool(space, pool)
+    if table is None:
         return per_pair
-    union, id_sets = numbered
     try:
         penalties = penalty.values(union)
     except ValidationError:
         return per_pair
+    costs = table - penalties
+    # the spread of an empty C is undefined, and no pair has a source
+    if union and not _finite_spread(costs):
+        return per_pair
     listed = penalties.tolist()
     members = [frozenset(ids) for ids in id_sets]
-    table = costs = None    # made by the first pair with a source
-    finite = True
 
     def distance(i: int, j: int) -> float:
-        nonlocal table, costs, finite
         a, b = id_sets[i], id_sets[j]
         if not members[i].isdisjoint(members[j]):
             a = [k for k in a if k not in members[j]]
             b = [k for k in b if k not in members[i]]
         if (len(a), a) > (len(b), b):
             a, b = b, a
-        cols = ()
-        if a:
-            if costs is None:
-                table = space.pairwise(union, union)
-                costs = table - penalties
-                finite = _finite_spread(costs)
-            if not finite:
-                return per_pair(i, j)
-            cols = _shortest_augmenting_paths(_gather(costs, a, b))
+        cols = _shortest_augmenting_paths(_take_block(costs, a, b)) if a else ()
         return _injection_cost([table.item(x, b[c]) for x, c in zip(a, cols)],
                                [listed[k] for k in b], cols)
 

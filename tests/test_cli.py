@@ -369,6 +369,32 @@ def test_matrix_makes_one_table_for_the_comparison_metrics(tmp_path,
         assert calls == {"pairwise": 1, "comparison_distance": 0}
 
 
+@pytest.mark.parametrize("metric", ["subset", "link", "hausdorff"])
+def test_matrix_over_no_sets_and_over_only_empty_sets(tmp_path, capsys,
+                                                     metric):
+    # A pool whose union is empty: no sets print an empty matrix, and
+    # empty sets are 0 apart by the subset metric and undefined for the
+    # comparison distances.
+    space = {"kind": "hamming", "alphabet": "01", "length": 2}
+    for name, sets in (("none", {}), ("empty", {"P": [], "Q": []})):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({"space": space, "sets": sets}))
+        runs = [run(capsys, "matrix", str(path), "--metric", metric,
+                    "--format", fmt) for fmt in ("csv", "json")]
+        if sets and metric != "subset":
+            for code, out, err in runs:
+                assert (code, out) == (1, "")
+                assert "undefined for empty sets" in err
+            continue
+        (csv_code, csv_out, _), (json_code, json_out, _) = runs
+        assert csv_code == json_code == 0
+        names = sorted(sets)
+        assert csv_out == (",P,Q\nP,0,0\nQ,0,0\n" if sets else '""\n')
+        assert json.loads(json_out) == {
+            "metric": metric, "names": names,
+            "values": [[0.0] * len(names) for _ in names]}
+
+
 def test_validate_good_fixtures_exit_zero(capsys):
     for name in ("hamming_small.json", "dna.json", "unit_interval.json",
                  "unit_square.json", "graph_path.json"):

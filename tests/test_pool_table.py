@@ -195,6 +195,23 @@ def test_a_pool_holding_an_empty_set_raises_from_each_pair_that_meets_it():
                 distance(i, j)
 
 
+@pytest.mark.parametrize("space", SPACES.values(), ids=list(SPACES))
+def test_pools_with_an_empty_union(space):
+    # No pair has a source or a nonempty side: the subset distance of two
+    # empty sets is 0 and every comparison distance raises.
+    for penalty in penalties(space):
+        pool_distances(space, penalty, [])
+        distance = pool_distances(space, penalty, [PointSet(space, [])] * 2)
+        assert [distance(i, j) for i in range(2) for j in range(2)] == [0.0] * 4
+    for kind in ComparisonKind:
+        pool_comparison_distances(kind, space, [])
+        distance = pool_comparison_distances(kind, space,
+                                             [PointSet(space, [])] * 2)
+        for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)):
+            with pytest.raises(DomainError, match="empty sets"):
+                distance(i, j)
+
+
 def test_a_set_of_eight_raises_size_limit_for_the_surjections():
     words = HammingSpace("01", 3)
     pool = [PointSet(words, ["000", "111"]), PointSet(words, words.elements())]

@@ -167,6 +167,17 @@ def test_validate_injection_rejects_non_pairs_and_repeated_sources():
         validate_injection(a, b, [("000", "011", "111"), ("001", "111")])
     with pytest.raises(ValidationError, match="maps some source twice"):
         validate_injection(a, b, [("000", "011"), ("000", "111")])
+    # entries that are not pairs: values that are not iterable, and a
+    # string, which is not read as the pair of its characters
+    for entry in (5, None):
+        with pytest.raises(ValidationError, match=f"entry {entry} is not a pair"):
+            validate_injection(a, b, [entry])
+    bits = HammingSpace("01", 1)
+    zero, one = PointSet(bits, ["0"]), PointSet(bits, ["1"])
+    with pytest.raises(ValidationError, match="entry '01' is not a pair"):
+        validate_injection(zero, one, ["01"])
+    with pytest.raises(ValidationError, match="is not a pair"):
+        chi_distance(bits, ConstantPenalty(bits, 1.0), zero, one, [5])
 
 
 def test_validate_injection_accepts_pair_lists_and_injection_records():
