@@ -266,17 +266,30 @@ def _admissibility_report(space: Space, penalty: PenaltyFunction,
                           elements: Sequence) -> PenaltyValidityReport:
     """``validate_penalty`` over distinct canonical elements of ``space``,
     at least one, which it takes as they are: it validates none of them."""
-    values = penalty.values(elements).tolist()
+    m = penalty.values(elements)
+    d = space.pairwise(elements, elements)
+    mx, mo = m[:, None], m[None, :]
+    # the float operations of d(x,o) > M(x) + tol and
+    # M(x) > (d(x,o) + M(o)) + tol, in this order; a sum past the largest
+    # float is inf, as in Python
+    with np.errstate(over="ignore"):
+        above = d > mx + REAL_TOL
+        grows = mx > (d + mo) + REAL_TOL
+    rows, cols = np.nonzero(above | grows)  # row-major
+    values = m.tolist()
     violations = []
-    for x, mx, row in zip(elements, values,
-                          space.pairwise(elements, elements).tolist()):
-        for other, mo, dxo in zip(elements, values, row):
-            if dxo > mx + REAL_TOL:
-                violations.append(PenaltyViolation(
-                    "distance_bound", x, other, dxo, mx, mo))
-            if mx > dxo + mo + REAL_TOL:
-                violations.append(PenaltyViolation(
-                    "growth_bound", x, other, dxo, mx, mo))
+    for i, j, dxo, up, grow in zip(rows.tolist(), cols.tolist(),
+                                   d[rows, cols].tolist(),
+                                   above[rows, cols].tolist(),
+                                   grows[rows, cols].tolist()):
+        if up:
+            violations.append(PenaltyViolation(
+                "distance_bound", elements[i], elements[j], dxo,
+                values[i], values[j]))
+        if grow:
+            violations.append(PenaltyViolation(
+                "growth_bound", elements[i], elements[j], dxo,
+                values[i], values[j]))
     return PenaltyValidityReport(tuple(violations), min(values), len(elements))
 
 

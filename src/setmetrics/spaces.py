@@ -45,10 +45,15 @@ def finite_real(value, what: str) -> float:
     """``value`` as a float if it is a finite real number (numpy scalars
     included; bools, strings and None are not); ValidationError otherwise."""
     # float and int come first: they skip the slower abstract-class check.
-    if isinstance(value, bool) or not isinstance(value, (float, int, numbers.Real)) \
-            or not math.isfinite(value):
-        raise ValidationError(f"{what} must be a finite number, got {value!r}")
-    return float(value)
+    # An int beyond the float range makes isfinite raise OverflowError.
+    try:
+        if not isinstance(value, bool) \
+                and isinstance(value, (float, int, numbers.Real)) \
+                and math.isfinite(value):
+            return float(value)
+    except OverflowError:
+        pass
+    raise ValidationError(f"{what} must be a finite number, got {value!r}")
 
 
 def _entries(item, message: str, size: Optional[int] = None) -> tuple:

@@ -55,6 +55,11 @@ class DuplicateElementsWarning(UserWarning):
     """Input collection repeated elements; duplicates were dropped."""
 
 
+def _dropped(count: int) -> str:
+    """What a set reports when it drops ``count`` duplicates."""
+    return f"dropped {count} duplicate element(s)"
+
+
 class PointSet:
     """An immutable finite set of elements of one space, canonically ordered.
 
@@ -82,8 +87,7 @@ class PointSet:
         members = frozenset(canonical)
         if len(members) != len(canonical):
             warnings.warn(DuplicateElementsWarning(
-                f"dropped {len(canonical) - len(members)} duplicate element(s)"),
-                stacklevel=3)
+                _dropped(len(canonical) - len(members))), stacklevel=3)
         self.space = space
         self.elements = tuple(sorted(members))
         self._members = members

@@ -18,18 +18,23 @@ inferred from the text and the penalty fixed to the constant word length.
 
 Each element is checked once, on entry: set elements of a JSON document
 by ``PointSet``, words of the text format by the loader itself (their
-length is checked and the alphabet is derived from them, so the sets are
-built canonical without validating them again), and table entries by
-``TablePenalty``; certification reads the table's domain as it is.  One
-helper builds the sets of both formats.
+length is checked and the alphabet is derived from them), and table
+entries by ``TablePenalty``; certification reads the table's domain as it
+is.  A JSON document builds every set at load, so that a bad set is a
+parse error then.  A text document builds a block's set when the block is
+first read: a word that passed the loader's checks cannot fail later, and
+each block's duplicate notice is counted at load, so ``dist --text``
+builds only the two blocks it names and prints what an eager load would.
+The ``sets`` of a text workspace are a read-only mapping.
 """
 
 from __future__ import annotations
 
 import json
 import warnings
+from collections.abc import Mapping
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List
+from typing import Dict, List
 
 from .errors import ParseError, ValidationError
 from .penalties import (ConstantPenalty, DiameterPenalty, PenaltyFunction,
@@ -40,7 +45,7 @@ from .penalties import (ConstantPenalty, DiameterPenalty, PenaltyFunction,
 # and the benchmark tracer hook to count certifications.
 from .penalties import _admissibility_report as validate_penalty
 from .spaces import HammingSpace, Space, space_from_json
-from .subset_distance import PointSet
+from .subset_distance import PointSet, _dropped
 
 _TOP_KEYS = {"space", "m_function", "sets"}
 
@@ -49,7 +54,7 @@ _TOP_KEYS = {"space", "m_function", "sets"}
 class Workspace:
     space: Space
     penalty: PenaltyFunction
-    sets: Dict[str, PointSet]
+    sets: Mapping[str, PointSet]
     notices: List[str] = field(default_factory=list)
 
     def get_set(self, name: str) -> PointSet:
@@ -113,26 +118,54 @@ def loads_workspace(text: str) -> Workspace:
 
 
 def _workspace(space: Space, penalty: PenaltyFunction,
-               raw_sets: Dict[str, list],
-               make_set: Callable[[Space, list], PointSet] = PointSet
-               ) -> Workspace:
-    """Workspace of named raw element lists, each made a set by
-    ``make_set``: ``PointSet``, which validates them, by default."""
+               raw_sets: Dict[str, list]) -> Workspace:
+    """Workspace of named raw element lists, each validated by ``PointSet``;
+    a set's warnings become its notices."""
     sets: Dict[str, PointSet] = {}
     notices: List[str] = []
-    for name, elements in raw_sets.items():
-        if not name:
-            raise ParseError("set names must be non-empty")
-        if not isinstance(elements, list):
-            raise ParseError(f"set {name!r} must be a list of elements")
-        try:
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                sets[name] = make_set(space, elements)
-        except ValidationError as exc:
-            raise ParseError(f"set {name!r}: {exc}") from exc
-        notices.extend(f"set {name!r}: {w.message}" for w in caught)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for name, elements in raw_sets.items():
+            if not name:
+                raise ParseError("set names must be non-empty")
+            if not isinstance(elements, list):
+                raise ParseError(f"set {name!r} must be a list of elements")
+            before = len(caught)
+            try:
+                sets[name] = PointSet(space, elements)
+            except ValidationError as exc:
+                raise ParseError(f"set {name!r}: {exc}") from exc
+            notices.extend(f"set {name!r}: {w.message}" for w in caught[before:])
     return Workspace(space, penalty, sets, notices)
+
+
+class _TextSets(Mapping):
+    """Blocks of valid words by name, each made a ``PointSet`` when it is
+    first read; read-only."""
+
+    def __init__(self, space: Space, blocks: Dict[str, List[str]]):
+        self._space = space
+        self._blocks = blocks
+        self._built: Dict[str, PointSet] = {}
+
+    def __getitem__(self, name: str) -> PointSet:
+        ps = self._built.get(name)
+        if ps is None:
+            # KeyError for an unknown name; duplicates dropped, without a
+            # warning, since the loader has given their notice
+            ps = self._built[name] = PointSet._from_valid(
+                self._space, list(dict.fromkeys(self._blocks[name])))
+        return ps
+
+    def __iter__(self):
+        return iter(self._blocks)
+
+    def __len__(self) -> int:
+        return len(self._blocks)
+
+    def __contains__(self, name) -> bool:
+        # Mapping's own test would build the set
+        return name in self._blocks
 
 
 def _read(path: str) -> str:
@@ -183,8 +216,13 @@ def loads_sequence_sets(text: str) -> Workspace:
     space = HammingSpace("".join(sorted(symbols)), length)
     penalty = ConstantPenalty(space, float(length))
     sets = {f"set_{k}": block for k, block in enumerate(blocks, start=1)}
+    notices = []
+    for name, block in sets.items():
+        dropped = len(block) - len(set(block))
+        if dropped:
+            notices.append(f"set {name!r}: {_dropped(dropped)}")
     # every word is valid by construction: checked length, derived alphabet
-    return _workspace(space, penalty, sets, PointSet._from_valid)
+    return Workspace(space, penalty, _TextSets(space, sets), notices)
 
 
 def load_sequence_sets(path: str) -> Workspace:

@@ -5,11 +5,15 @@ import importlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import setmetrics.cli
 import setmetrics.workspace
 from setmetrics import EuclideanBoxSpace, GraphSpace
 from setmetrics.cli import main
@@ -124,6 +128,33 @@ def test_matrix_malformed_numbers_are_parse_errors(tmp_path, capsys, doc):
     assert "Traceback" not in err
 
 
+HUGE = 10 ** 400  # a JSON integer beyond the float range
+HUGE_INTEGERS = {
+    "graph edge weight": {"space": {"kind": "graph",
+                                    "edges": [[0, 1, 1.0], [1, 2, HUGE]]},
+                          "sets": {}},
+    "constant penalty value": {"space": {"kind": "graph", "edges": [[0, 1, 1.0]]},
+                               "m_function": {"variant": "constant",
+                                              "value": HUGE},
+                               "sets": {}},
+    "box bound": {"space": {"kind": "euclidean_box", "bounds": [[0, HUGE]]},
+                  "sets": {}},
+    "box point coordinate": {"space": json.loads(BOX),
+                             "sets": {"A": [[0.5, HUGE]]}},
+}
+
+
+@pytest.mark.parametrize("doc", HUGE_INTEGERS.values(), ids=HUGE_INTEGERS)
+def test_integers_beyond_the_float_range_are_parse_errors(tmp_path, capsys,
+                                                          doc):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "matrix", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert f"must be a finite number, got {HUGE}" in err
+
+
 def test_dist_bad_table_penalty_fails_validation(capsys):
     code, _, err = run(capsys, "dist", fx("bad_mtable.json"), "P", "Q")
     assert code == 1
@@ -162,6 +193,26 @@ def test_dist_text_mode_on_single_symbol_words(tmp_path, capsys):
                        "--oracle")
     assert code == 0
     assert json.loads(out)["value"] == 0.0
+
+
+def test_dist_text_reports_every_block_whichever_it_names(tmp_path, capsys):
+    # Blocks 1 and 3 repeat words; dist reads blocks 2 and 4 only.
+    path = tmp_path / "dup.txt"
+    path.write_text("ACGT\nACGT\n\nGGCC\n\nTTAA\nTTAA\nTTAA\nCCAA\n\nGGCA\n")
+    code, out, err = run(capsys, "dist", str(path), "set_2", "set_4", "--text")
+    assert code == 0
+    assert json.loads(out)["value"] == 1.0
+    assert err == ("note: set 'set_1': dropped 1 duplicate element(s)\n"
+                   "note: set 'set_3': dropped 2 duplicate element(s)\n")
+
+
+def test_dist_text_refuses_a_wrong_length_word_in_a_block_it_does_not_name(
+        tmp_path, capsys):
+    path = tmp_path / "ragged.txt"
+    path.write_text("ACGT\n\nGGCC\n\nTTA\n")
+    code, out, err = run(capsys, "dist", str(path), "set_1", "set_2", "--text")
+    assert (code, out) == (2, "")
+    assert err == "error: all words must have length 4, got 'TTA'\n"
 
 
 def test_constant_zero_penalty_is_refused_on_a_narrow_box(tmp_path, capsys):
@@ -489,6 +540,63 @@ def test_validate_checks_only_the_elements_its_file_holds(tmp_path, capsys,
     assert len(calls) == 2 * loaded
 
 
+def test_validate_finds_an_injected_triangle_violation_at_every_seed(
+        capsys, monkeypatch):
+    # d(#0, #1) raised past every path through a third set of the pool:
+    # the triples (0, j, 1) and (1, j, 0) break the triangle inequality,
+    # 26 of the pool's 15**3 triples.  A check of 100 random triples
+    # misses all of them at seeds 1, 3, 4, 6 and 7.
+    real = setmetrics.cli.pool_distances
+
+    def raised(space, penalty, pool):
+        distance = real(space, penalty, pool)
+        return lambda i, j: distance(i, j) + (100.0 if {i, j} == {0, 1} else 0.0)
+
+    monkeypatch.setattr(setmetrics.cli, "pool_distances", raised)
+    for seed in range(8):
+        code, out, _ = run(capsys, "validate", fx("unit_square.json"),
+                           "--samples", "3", "--seed", str(seed))
+        report = json.loads(out)
+        assert code == 1 and report["ok"] is False
+        assert report["triples_checked"] == 15 ** 3
+        triangle = report["axioms"].pop("triangle")
+        assert all(axiom["ok"] for axiom in report["axioms"].values())
+        assert triangle["ok"] is False
+        assert [v.split(" = ")[0] for v in triangle["violations"]] == [
+            "d(#0,#1)"] * 5
+        assert [v.split(" = ")[-1] for v in triangle["violations"]] == [
+            f"d(#0,#{j}) + d(#{j},#1)" for j in range(2, 7)]
+
+
+def test_validate_reports_the_first_triangle_violations_a_loop_finds(
+        capsys, monkeypatch):
+    # Distances scaled by 1, 2 or 3 break the triangle inequality at many
+    # middle indices; the report lists the first five in (i, j, k) order.
+    real = setmetrics.cli.pool_distances
+    seen = []
+
+    def skewed(space, penalty, pool):
+        distance = real(space, penalty, pool)
+        seen.append((len(pool), distance))
+        return lambda i, j: distance(i, j) * (1 + (i + j) % 3)
+
+    monkeypatch.setattr(setmetrics.cli, "pool_distances", skewed)
+    code, out, _ = run(capsys, "validate", fx("unit_square.json"),
+                       "--samples", "3", "--seed", "5")
+    assert code == 1
+    report = json.loads(out)
+    (n, distance), = seen
+    d = [[distance(min(i, k), max(i, k)) * (1 + (i + k) % 3)
+          for k in range(n)] for i in range(n)]
+    triples = [(i, j, k) for i in range(n) for j in range(n) for k in range(n)
+               if d[i][k] > d[i][j] + d[j][k] + 1e-9]
+    assert len({j for _, j, _ in triples[:5]}) > 1
+    assert report["axioms"]["triangle"] == {"ok": False, "violations": [
+        f"d(#{i},#{k}) = {d[i][k]} > {d[i][j] + d[j][k]} = "
+        f"d(#{i},#{j}) + d(#{j},#{k})" for i, j, k in triples[:5]]}
+    assert report["triples_checked"] == n ** 3
+
+
 def test_validate_is_reproducible_per_seed(capsys):
     _, out1, _ = run(capsys, "validate", fx("unit_square.json"),
                      "--seed", "7", "--samples", "30")
@@ -525,6 +633,28 @@ def test_malformed_numeric_option_is_usage_error(capsys, argv, message):
     assert code == 2
     assert out == ""
     assert message in err
+
+
+def test_matrix_into_a_closed_pipe_exits_one_without_a_traceback(tmp_path):
+    # 300 sets make about 180 kB of CSV, more than a pipe buffer holds, so
+    # the command is still writing when the reader goes away.
+    path = tmp_path / "many.json"
+    path.write_text(json.dumps({
+        "space": {"kind": "hamming", "alphabet": "01", "length": 3},
+        "sets": {f"s{i:03d}": [format(i % 8, "03b")] for i in range(300)}}))
+    env = {**os.environ, "PYTHONPATH": str(FIXTURES.parent / "src")}
+    proc = subprocess.Popen([sys.executable, "-m", "setmetrics", "matrix",
+                             str(path)], stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, env=env)
+    try:
+        assert proc.stdout.read(10) == b",s000,s001"
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=60) == 1
+    finally:
+        proc.kill()
+        proc.wait()
+    assert err == ""
 
 
 def test_no_command_is_usage_error(capsys):

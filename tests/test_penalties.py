@@ -1,15 +1,19 @@
 """Penalty functions and their admissibility checks."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from setmetrics import (ConstantPenalty, DiameterPenalty, EccentricityPenalty,
                         EuclideanBoxSpace, GraphSpace, HammingSpace,
-                        ParseError, TablePenalty, ValidationError,
-                        parse_penalty_spec, penalty_from_json,
+                        ParseError, PenaltyViolation, REAL_TOL, TablePenalty,
+                        ValidationError, parse_penalty_spec, penalty_from_json,
                         sequence_subset_distance, validate_penalty)
+from setmetrics.penalties import _admissibility_report
 
 from generators import count_validations, space_family, unit_interval
 
@@ -105,6 +109,57 @@ def test_growth_violation_describes_both_sides():
     (violation,) = [v for v in report.violations if v.check == "growth_bound"]
     assert violation.describe() == (
         "M((0.5,)) = 3.0 exceeds d((0.5,), (0.0,)) + M((0.0,)) = 1.5")
+
+
+def literal_admissibility(space, table, elements):
+    """Both inequalities over every ordered pair, one pair at a time."""
+    violations = []
+    for x in elements:
+        for other in elements:
+            d, mx, mo = space.distance(x, other), table[x], table[other]
+            if d > mx + REAL_TOL:
+                violations.append(PenaltyViolation(
+                    "distance_bound", x, other, d, mx, mo))
+            if mx > d + mo + REAL_TOL:
+                violations.append(PenaltyViolation(
+                    "growth_bound", x, other, d, mx, mo))
+    return tuple(violations)
+
+
+#: Penalty values around every threshold of a small graph, and near the
+#: largest float, where d(x, z) + M(z) overflows to inf.
+_TABLE_VALUES = st.one_of(
+    st.floats(0.0, 12.0),
+    st.sampled_from([0.0, 1.0, 3.0, 3.0 + REAL_TOL, 3.0 + 2 * REAL_TOL,
+                      8e307, 1e308, math.ulp(0.0), 1.7976931348623157e308]))
+
+
+@st.composite
+def tables_on_graphs(draw):
+    """A path graph, its weights at times near the largest float, and a
+    table over its vertices in a random order."""
+    n = draw(st.integers(2, 6))
+    weights = draw(st.lists(st.sampled_from([1.0, 2.5, 4e307]),
+                            min_size=n - 1, max_size=n - 1))
+    if sum(weights) > 1.7e308:  # keep every path length finite
+        weights = [1.0] * (n - 1)
+    space = GraphSpace([(k, k + 1, w) for k, w in enumerate(weights)])
+    values = draw(st.lists(_TABLE_VALUES, min_size=n, max_size=n))
+    order = draw(st.permutations(range(n)))
+    return space, dict(zip(range(n), values)), list(order)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(tables_on_graphs())
+def test_admissibility_report_equals_a_literal_double_loop(case):
+    space, table, elements = case
+    penalty = TablePenalty(space, table)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = _admissibility_report(space, penalty, elements)
+    assert report.violations == literal_admissibility(space, table, elements)
+    assert report.min_penalty == min(table.values())
+    assert report.sample_size == len(elements)
 
 
 def test_validate_penalty_rejects_a_penalty_of_another_space():

@@ -177,6 +177,68 @@ def test_graph_rejects_bad_endpoints(edges, n, message):
         GraphSpace(edges, n)
 
 
+# Edge lists in the shape a JSON document gives, each with one defect, and
+# the error the per-edge checks raise for it: the first bad edge's.
+MALFORMED_EDGE_LISTS = {
+    "bool endpoint": ([[0, 1, 1.0], [True, 2, 1.0]],
+                      "edge [True, 2, 1.0] endpoints must be integers"),
+    "numpy int endpoint": ([[0, np.int64(1), 1.0]],
+                           f"edge {[0, np.int64(1), 1.0]!r} endpoints must "
+                           "be integers"),
+    "float endpoint": ([[0, 1.0, 1.0]],
+                       "edge [0, 1.0, 1.0] endpoints must be integers"),
+    "negative id": ([[0, 1, 1.0], [1, -2, 1.0]],
+                    "edge [1, -2, 1.0] has a negative vertex id"),
+    "self-loop": ([[0, 1, 1.0], [2, 2, 1.0], [-1, 3, 1.0]],
+                  "edge [2, 2, 1.0] is a self-loop"),
+    "zero weight": ([[0, 1, 0]],
+                    "edge (0, 1) weight must be positive and finite, got 0.0"),
+    "negative weight": ([[0, 1, 1.0], [1, 2, -0.5]],
+                        "edge (1, 2) weight must be positive and finite, "
+                        "got -0.5"),
+    "nan weight": ([[0, 1, float("nan")]],
+                   "edge (0, 1) weight must be a finite number, got nan"),
+    "inf weight": ([[0, 1, float("inf")]],
+                   "edge (0, 1) weight must be a finite number, got inf"),
+    "huge int weight": ([[0, 1, 1.0], [1, 2, 10 ** 400]],
+                        f"edge (1, 2) weight must be a finite number, "
+                        f"got {10 ** 400}"),
+    "bool weight": ([[0, 1, True]],
+                    "edge (0, 1) weight must be a finite number, got True"),
+    "string weight": ([[0, 1, "1"]],
+                      "edge (0, 1) weight must be a finite number, got '1'"),
+    "short edge": ([[0, 1, 1.0], [1, 2]], "edge [1, 2] must be [u, v, weight]"),
+    "long edge": ([[0, 1, 1.0, 2]], "edge [0, 1, 1.0, 2] must be [u, v, weight]"),
+    "edge is a number": ([[0, 1, 1.0], 5], "edge 5 must be [u, v, weight]"),
+    "edge is a string": (["011"], "edge '011' must be [u, v, weight]"),
+    "edges are a number": (5, "graph edges must be a list of [u, v, weight]"),
+}
+
+
+@pytest.mark.parametrize("edges, message", MALFORMED_EDGE_LISTS.values(),
+                         ids=MALFORMED_EDGE_LISTS)
+def test_malformed_edges_raise_the_per_edge_error(edges, message):
+    with pytest.raises(ValidationError) as exc:
+        GraphSpace(edges)
+    assert str(exc.value) == message
+
+
+def test_edge_lists_build_what_edge_tuples_do():
+    # Lists (as JSON gives them) and tuples: duplicates and parallel edges,
+    # ids in either order, int weights and ints past 2**53 come out the
+    # same either way.
+    edges = [[0, 1, 2.5], [1, 0, 2.5], [2, 1, 4], [1, 2, 1.5], [3, 2, 1.0],
+             [0, 3, 2 ** 60 + 1], [1, 2, 1.5]]
+    lists = GraphSpace(edges)
+    tuples = GraphSpace(tuple(map(tuple, edges)))
+    assert lists.edges == tuples.edges
+    assert [type(w) for _, _, w in lists.edges] == [float] * len(lists.edges)
+    assert lists.edges == ((0, 1, 2.5), (0, 3, float(2 ** 60 + 1)),
+                           (1, 2, 1.5), (1, 2, 4.0), (2, 3, 1.0))
+    assert np.array_equal(lists.pairwise(range(4), range(4)),
+                          tuples.pairwise(range(4), range(4)))
+
+
 def test_graph_with_overflowing_paths_is_too_wide_not_disconnected():
     with pytest.raises(ValidationError, match="too wide"):
         GraphSpace([(0, 1, 1e308), (1, 2, 1e308)])

@@ -1,13 +1,14 @@
 """Workspace documents: JSON and text loading, round trips, certification."""
 
 import json
+import warnings
 
 import pytest
 
 from setmetrics import (ConstantPenalty, DiameterPenalty, EccentricityPenalty,
-                        EuclideanBoxSpace, GraphSpace, ParseError, TablePenalty,
-                        ValidationError, certify_penalty, loads_sequence_sets,
-                        loads_workspace, subset_distance)
+                        EuclideanBoxSpace, GraphSpace, ParseError, PointSet,
+                        TablePenalty, ValidationError, certify_penalty,
+                        loads_sequence_sets, loads_workspace, subset_distance)
 from setmetrics.workspace import uncovered_elements
 
 from generators import count_validations
@@ -148,6 +149,45 @@ def test_sequence_text_alphabet_takes_symbols_first_seen_in_a_late_block():
     assert ws.sets["set_2"].elements == ("αγβ",)
     assert ws.sets["set_3"].elements == tuple(sorted(["βα𝔸", "ααα"]))
     assert ws.notices == ["set 'set_2': dropped 1 duplicate element(s)"]
+
+
+TEXT_WITH_DUPLICATES = "ACGT\nACGT\nTTAA\n\nGGCC\n\n# note\nCCAA\nCCAA\nCCAA\nAAAA\n"
+
+
+def test_sequence_text_sets_equal_an_eager_build():
+    ws = loads_sequence_sets(TEXT_WITH_DUPLICATES)
+    blocks = [["ACGT", "ACGT", "TTAA"], ["GGCC"], ["CCAA", "CCAA", "CCAA", "AAAA"]]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        eager = {f"set_{k}": PointSet(ws.space, block)
+                 for k, block in enumerate(blocks, start=1)}
+    assert list(ws.sets) == list(eager) == ws.set_names()
+    assert len(ws.sets) == 3 and "set_2" in ws.sets and "set_4" not in ws.sets
+    assert [ws.sets[name].elements for name in ws.sets] == [
+        ps.elements for ps in eager.values()]
+    assert ws.sets == eager and dict(ws.sets) == eager
+    assert ws.notices == ["set 'set_1': dropped 1 duplicate element(s)",
+                          "set 'set_3': dropped 2 duplicate element(s)"]
+    with pytest.raises(TypeError):
+        ws.sets["set_4"] = eager["set_1"]
+
+
+def test_sequence_text_builds_a_block_on_first_read(monkeypatch):
+    built = []
+    real = PointSet._from_valid.__func__
+
+    def counting(cls, space, items):
+        built.append(list(items))
+        return real(cls, space, items)
+
+    monkeypatch.setattr(PointSet, "_from_valid", classmethod(counting))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # duplicates make no warning either
+        ws = loads_sequence_sets(TEXT_WITH_DUPLICATES)
+        assert built == []
+        first = ws.get_set("set_3")
+        assert ws.get_set("set_3") is first
+    assert built == [["CCAA", "AAAA"]]
 
 
 def test_certify_rejects_uncovered_table_and_accepts_covering_one():
