@@ -231,7 +231,7 @@ def cmd_validate(args) -> int:
 
     pool = list(ws.sets.values())
     pairs_checked = 0
-    if pen_report.ok and not report.get("coverage", {}).get("violations"):
+    if ok:
         pool = pool + _sample_sets(ws, rng, max(args.samples, 12))
         n = len(pool)
         distance = pool_distances(ws.space, ws.penalty, pool)

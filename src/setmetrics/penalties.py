@@ -33,7 +33,8 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import ParseError, ValidationError
-from .spaces import Element, REAL_TOL, Space, element_to_json, finite_real
+from .spaces import (Element, REAL_TOL, Space, _require_keys, element_to_json,
+                     finite_real)
 
 
 class PenaltyFunction:
@@ -300,28 +301,25 @@ def penalty_from_json(space: Space, obj: dict) -> PenaltyFunction:
     constant below the diameter) stays a ValidationError, since the
     document is well-formed but the function breaks the metric contract.
     """
-    if not isinstance(obj, dict) or "variant" not in obj:
-        raise ParseError("penalty descriptor must be an object with 'variant'")
-    variant = obj["variant"]
+    if not isinstance(obj, dict):
+        raise ParseError("penalty descriptor must be a JSON object")
+    variant = obj.get("variant")
+    what = f"{variant} penalty descriptor"
     if variant == "constant":
-        _penalty_keys(obj, {"variant", "value"})
-        if "value" not in obj:
-            raise ParseError("constant penalty descriptor needs 'value'")
+        _require_keys(obj, what, ("variant", "value"))
         try:
             value = finite_real(obj["value"], "constant penalty value")
         except ValidationError as exc:
             raise ParseError(str(exc)) from None
         return ConstantPenalty(space, value)
     if variant == "diameter":
-        _penalty_keys(obj, {"variant"})
+        _require_keys(obj, what, ("variant",))
         return DiameterPenalty(space)
     if variant == "eccentricity":
-        _penalty_keys(obj, {"variant"})
+        _require_keys(obj, what, ("variant",))
         return EccentricityPenalty(space)
     if variant == "table":
-        _penalty_keys(obj, {"variant", "entries"})
-        if "entries" not in obj:
-            raise ParseError("table penalty descriptor needs 'entries'")
+        _require_keys(obj, what, ("variant", "entries"))
         entries = obj["entries"]
         if not isinstance(entries, list) \
                 or any(not isinstance(e, list) or len(e) != 2 for e in entries):
@@ -332,12 +330,6 @@ def penalty_from_json(space: Space, obj: dict) -> PenaltyFunction:
         except ValidationError as exc:
             raise ParseError(f"bad table penalty: {exc}") from exc
     raise ParseError(f"unknown penalty variant {variant!r}")
-
-
-def _penalty_keys(obj: dict, allowed: set):
-    extra = set(obj) - allowed
-    if extra:
-        raise ParseError(f"unexpected keys in penalty descriptor: {sorted(extra)}")
 
 
 def parse_penalty_spec(space: Space, text: str) -> PenaltyFunction:

@@ -291,6 +291,10 @@ class EuclideanBoxSpace(Space):
         return (self.kind, self.bounds)
 
 
+_NOT_CONNECTED = ("graph is not connected; shortest-path distances are "
+                  "unbounded")
+
+
 class GraphSpace(Space):
     """Vertices of a finite connected weighted graph, shortest-path distance.
 
@@ -331,6 +335,10 @@ class GraphSpace(Space):
                 f"edge endpoint {max_id} exceeds declared vertex count {n}")
         self.vertex_count = n
         self.edges = tuple(sorted(set(cleaned)))
+        # Connecting n vertices takes at least n - 1 distinct edges; fewer
+        # are refused before the n x n matrices, whatever the size of n.
+        if n > len({(u, v) for u, v, _ in self.edges}) + 1:
+            raise ValidationError(_NOT_CONNECTED)
 
         adjacency = np.full((n, n), np.inf)
         np.fill_diagonal(adjacency, 0.0)
@@ -345,8 +353,7 @@ class GraphSpace(Space):
             if np.isfinite(_shortest_paths(reach)).all():
                 raise ValidationError(
                     "graph is too wide: its shortest-path distances overflow")
-            raise ValidationError(
-                "graph is not connected; shortest-path distances are unbounded")
+            raise ValidationError(_NOT_CONNECTED)
         self._dist = dm
         self._dist.setflags(write=False)
         self._ecc = dm.max(axis=1)
@@ -426,31 +433,37 @@ def space_from_json(obj: dict) -> Space:
     if not isinstance(obj, dict):
         raise ParseError("space descriptor must be a JSON object")
     kind = obj.get("kind")
+    what = f"{kind} space descriptor"
     try:
         if kind == "hamming":
-            _require_keys(obj, {"kind", "alphabet", "length"})
+            _require_keys(obj, what, ("kind", "alphabet", "length"))
             return HammingSpace(obj["alphabet"], obj["length"])
         if kind == "euclidean_box":
-            _require_keys(obj, {"kind", "bounds"})
+            _require_keys(obj, what, ("kind", "bounds"))
             box = EuclideanBoxSpace(obj["bounds"])
             if box.diameter == math.inf:  # distances of far points overflow too
                 raise ValidationError("box is too wide: its diameter overflows")
             return box
         if kind == "graph":
-            _require_keys(obj, {"kind", "edges", "vertices"}, optional={"vertices"})
+            _require_keys(obj, what, ("kind", "edges"), optional=("vertices",))
             return GraphSpace(obj["edges"], obj.get("vertices"))
     except ValidationError as exc:
-        raise ParseError(f"bad {kind} space descriptor: {exc}") from exc
+        raise ParseError(f"bad {what}: {exc}") from exc
     raise ParseError(f"unknown space kind {kind!r}")
 
 
-def _require_keys(obj: dict, allowed: set, optional: set = frozenset()):
-    extra = set(obj) - allowed
+def _require_keys(obj: dict, what: str, required: tuple,
+                  optional: tuple = ()):
+    """ParseError unless the JSON object ``obj``, described as ``what``, has
+    every key of ``required`` and no key outside ``required`` and
+    ``optional``; unexpected keys are reported first, then the first
+    missing key in the order given."""
+    extra = set(obj).difference(required, optional)
     if extra:
-        raise ParseError(f"unexpected keys in space descriptor: {sorted(extra)}")
-    missing = allowed - optional - set(obj)
-    if missing:
-        raise ParseError(f"missing keys in space descriptor: {sorted(missing)}")
+        raise ParseError(f"unexpected keys in {what}: {sorted(extra)}")
+    for key in required:
+        if key not in obj:
+            raise ParseError(f"{what} needs {key!r}")
 
 
 def element_to_json(x: Element):

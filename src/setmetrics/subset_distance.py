@@ -71,26 +71,21 @@ class PointSet:
     __slots__ = ("space", "elements", "_members")
 
     def __init__(self, space: Space, items: Iterable = ()):
-        self._fill(space, space.validate_elements(items))
-
-    @classmethod
-    def _from_valid(cls, space: Space, items: list) -> "PointSet":
-        """The set of ``items``, elements of ``space`` already in canonical
-        form, which are not validated again; duplicates are dropped with
-        the constructor's warning."""
-        ps = object.__new__(cls)
-        ps._fill(space, items)
-        return ps
-
-    def _fill(self, space: Space, canonical: list):
+        canonical = space.validate_elements(items)
         # Hashed once; the set keeps the first of equal elements.
         members = frozenset(canonical)
         if len(members) != len(canonical):
             warnings.warn(DuplicateElementsWarning(
-                _dropped(len(canonical) - len(members))), stacklevel=3)
+                _dropped(len(canonical) - len(members))), stacklevel=2)
         self.space = space
         self.elements = tuple(sorted(members))
         self._members = members
+
+    @classmethod
+    def _from_valid(cls, space: Space, items: list) -> "PointSet":
+        """The set of ``items``, distinct elements of ``space`` already in
+        canonical form, which are not validated again."""
+        return cls._from_canonical(space, tuple(sorted(items)))
 
     @classmethod
     def _from_canonical(cls, space: Space, elements: tuple) -> "PointSet":

@@ -17,21 +17,20 @@ blocks of equal-length words, block k loaded as "set_k", with alphabet
 inferred from the text and the penalty fixed to the constant word length.
 
 Each element is checked once, on entry: set elements of a JSON document
-by ``PointSet``, words of the text format by the loader itself (their
-length is checked and the alphabet is derived from them), and table
-entries by ``TablePenalty``; certification reads the table's domain as it
-is.  A JSON document builds every set at load, so that a bad set is a
-parse error then.  A text document builds a block's set when the block is
-first read: a word that passed the loader's checks cannot fail later, and
-each block's duplicate notice is counted at load, so ``dist --text``
-builds only the two blocks it names and prints what an eager load would.
-The ``sets`` of a text workspace are a read-only mapping.
+by the space's ``validate_elements``, words of the text format by the
+loader itself (their length is checked and the alphabet is derived from
+them), and table entries by ``TablePenalty``; certification reads the
+table's domain as it is.  So a bad set is a parse error at load, in
+either format.  Both loaders then hand their named lists of canonical
+elements to one store: it counts each list's duplicates into a notice at
+load and builds a set's ``PointSet`` when the set is first read, so
+``dist`` builds only the two sets it names and prints what an eager load
+would.  The ``sets`` of a workspace are a read-only mapping.
 """
 
 from __future__ import annotations
 
 import json
-import warnings
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import Dict, List
@@ -44,11 +43,8 @@ from .penalties import (ConstantPenalty, DiameterPenalty, PenaltyFunction,
 # bound to the name this module has always called it by, which the tests
 # and the benchmark tracer hook to count certifications.
 from .penalties import _admissibility_report as validate_penalty
-from .spaces import HammingSpace, Space, space_from_json
+from .spaces import HammingSpace, Space, _require_keys, space_from_json
 from .subset_distance import PointSet, _dropped
-
-_TOP_KEYS = {"space", "m_function", "sets"}
-
 
 @dataclass
 class Workspace:
@@ -96,14 +92,16 @@ def loads_workspace(text: str) -> Workspace:
         raise ParseError(
             f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except ParseError:
+        raise  # a duplicate key
+    except (ValueError, RecursionError) as exc:
+        # an integer literal past Python's digit limit, or nesting deeper
+        # than the recursion limit
+        raise ParseError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ParseError("workspace document must be a JSON object")
-    extra = set(doc) - _TOP_KEYS
-    if extra:
-        raise ParseError(f"unexpected top-level keys: {sorted(extra)}")
-    for key in ("space", "sets"):
-        if key not in doc:
-            raise ParseError(f"workspace document is missing {key!r}")
+    _require_keys(doc, "workspace document", ("space", "sets"),
+                  optional=("m_function",))
 
     space = space_from_json(doc["space"])
     if "m_function" in doc:
@@ -114,58 +112,58 @@ def loads_workspace(text: str) -> Workspace:
     raw_sets = doc["sets"]
     if not isinstance(raw_sets, dict):
         raise ParseError("'sets' must map names to element lists")
-    return _workspace(space, penalty, raw_sets)
+    sets = {}
+    for name, elements in raw_sets.items():
+        if not name:
+            raise ParseError("set names must be non-empty")
+        if not isinstance(elements, list):
+            raise ParseError(f"set {name!r} must be a list of elements")
+        try:
+            sets[name] = space.validate_elements(elements)
+        except ValidationError as exc:
+            raise ParseError(f"set {name!r}: {exc}") from exc
+    return _workspace(space, penalty, sets)
 
 
 def _workspace(space: Space, penalty: PenaltyFunction,
-               raw_sets: Dict[str, list]) -> Workspace:
-    """Workspace of named raw element lists, each validated by ``PointSet``;
-    a set's warnings become its notices."""
-    sets: Dict[str, PointSet] = {}
-    notices: List[str] = []
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        for name, elements in raw_sets.items():
-            if not name:
-                raise ParseError("set names must be non-empty")
-            if not isinstance(elements, list):
-                raise ParseError(f"set {name!r} must be a list of elements")
-            before = len(caught)
-            try:
-                sets[name] = PointSet(space, elements)
-            except ValidationError as exc:
-                raise ParseError(f"set {name!r}: {exc}") from exc
-            notices.extend(f"set {name!r}: {w.message}" for w in caught[before:])
-    return Workspace(space, penalty, sets, notices)
+               sets: Dict[str, list]) -> Workspace:
+    """Workspace of named lists of canonical elements; each list's
+    duplicates are counted into a notice now, its set built on first read."""
+    notices = []
+    for name, elements in sets.items():
+        dropped = len(elements) - len(set(elements))
+        if dropped:
+            notices.append(f"set {name!r}: {_dropped(dropped)}")
+    return Workspace(space, penalty, _Sets(space, sets), notices)
 
 
-class _TextSets(Mapping):
-    """Blocks of valid words by name, each made a ``PointSet`` when it is
-    first read; read-only."""
+class _Sets(Mapping):
+    """Lists of canonical elements by name, each made a ``PointSet`` when it
+    is first read; read-only."""
 
-    def __init__(self, space: Space, blocks: Dict[str, List[str]]):
+    def __init__(self, space: Space, lists: Dict[str, list]):
         self._space = space
-        self._blocks = blocks
+        self._lists = lists
         self._built: Dict[str, PointSet] = {}
 
     def __getitem__(self, name: str) -> PointSet:
         ps = self._built.get(name)
         if ps is None:
-            # KeyError for an unknown name; duplicates dropped, without a
-            # warning, since the loader has given their notice
+            # KeyError for an unknown name; the loader has given the
+            # notice of the duplicates dropped here
             ps = self._built[name] = PointSet._from_valid(
-                self._space, list(dict.fromkeys(self._blocks[name])))
+                self._space, list(dict.fromkeys(self._lists[name])))
         return ps
 
     def __iter__(self):
-        return iter(self._blocks)
+        return iter(self._lists)
 
     def __len__(self) -> int:
-        return len(self._blocks)
+        return len(self._lists)
 
     def __contains__(self, name) -> bool:
         # Mapping's own test would build the set
-        return name in self._blocks
+        return name in self._lists
 
 
 def _read(path: str) -> str:
@@ -215,14 +213,9 @@ def loads_sequence_sets(text: str) -> Workspace:
     symbols.update("".join(words).translate(dict.fromkeys(map(ord, symbols))))
     space = HammingSpace("".join(sorted(symbols)), length)
     penalty = ConstantPenalty(space, float(length))
-    sets = {f"set_{k}": block for k, block in enumerate(blocks, start=1)}
-    notices = []
-    for name, block in sets.items():
-        dropped = len(block) - len(set(block))
-        if dropped:
-            notices.append(f"set {name!r}: {_dropped(dropped)}")
     # every word is valid by construction: checked length, derived alphabet
-    return Workspace(space, penalty, _TextSets(space, sets), notices)
+    return _workspace(space, penalty, {
+        f"set_{k}": block for k, block in enumerate(blocks, start=1)})
 
 
 def load_sequence_sets(path: str) -> Workspace:

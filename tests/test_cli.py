@@ -597,6 +597,44 @@ def test_validate_reports_the_first_triangle_violations_a_loop_finds(
     assert report["triples_checked"] == n ** 3
 
 
+INJECTED_AXIOM_FAILURES = {
+    "nonnegativity": (lambda d, i, j: -1.0 if {i, j} == {0, 1} else d,
+                      "d({A!r},{B!r}) = -1.0"),
+    "symmetry": (lambda d, i, j: d + 1.0 if (i, j) == (0, 1) else d,
+                 "d({A!r},{B!r}) = {d01} != {d10}"),
+    "identity": (lambda d, i, j: 0.0 if {i, j} == {0, 1} else d,
+                 "d({A!r},{B!r}) = 0.0"),
+}
+
+
+@pytest.mark.parametrize("axiom", INJECTED_AXIOM_FAILURES)
+def test_validate_reports_an_injected_axiom_failure(capsys, monkeypatch,
+                                                    axiom):
+    # The value of the pair of the file's first two sets is changed: made
+    # negative, made to differ by argument order, or made 0.
+    change, message = INJECTED_AXIOM_FAILURES[axiom]
+    real = setmetrics.cli.pool_distances
+    seen = []
+
+    def injected(space, penalty, pool):
+        distance = real(space, penalty, pool)
+        seen.append(distance)
+        return lambda i, j: change(distance(i, j), i, j)
+
+    monkeypatch.setattr(setmetrics.cli, "pool_distances", injected)
+    code, out, _ = run(capsys, "validate", fx("unit_square.json"),
+                       "--samples", "3")
+    assert code == 1
+    report = json.loads(out)
+    assert report["ok"] is False
+    A, B = list(setmetrics.workspace.load_workspace(
+        fx("unit_square.json")).sets.values())[:2]
+    (distance,) = seen
+    assert report["axioms"][axiom] == {"ok": False, "violations": [
+        message.format(A=A, B=B, d01=distance(0, 1) + 1.0,
+                       d10=distance(1, 0))]}
+
+
 def test_validate_is_reproducible_per_seed(capsys):
     _, out1, _ = run(capsys, "validate", fx("unit_square.json"),
                      "--seed", "7", "--samples", "30")
@@ -724,6 +762,30 @@ def test_bad_graph_is_one_error_line(tmp_path, capsys, graph, reason):
     assert out == ""
     assert err.startswith("error:") and err.count("\n") == 1
     assert reason in err
+
+
+BEYOND_THE_PARSER = {
+    "integer of 5001 digits":
+        '{"space": {"kind": "graph", "edges": [[0, 1, 1%s]]}, "sets": {}}'
+        % ("0" * 5000),
+    "arrays nested 200000 deep":
+        '{"space": %s, "sets": {}}' % ("[" * 200000 + "]" * 200000),
+    "vertex id past numpy's dimensions":
+        json.dumps({"space": {"kind": "graph", "edges": [[0, 10 ** 400, 1.0]]},
+                    "sets": {}}),
+}
+
+
+@pytest.mark.parametrize("doc", BEYOND_THE_PARSER.values(),
+                         ids=BEYOND_THE_PARSER)
+def test_documents_past_the_loader_limits_are_one_error_line(tmp_path, capsys,
+                                                             doc):
+    path = tmp_path / "limits.json"
+    path.write_text(doc)
+    code, out, err = run(capsys, "matrix", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 OVERFLOWING_DISTANCE_COMMANDS = {

@@ -182,6 +182,15 @@ def test_comparisons_from_the_pool_equal_comparison_distance(case, kind):
             assert outcome(lambda: distance(i, j)) == expected, (kind, a, b)
 
 
+def test_comparison_pools_refuse_a_set_of_another_space():
+    line = EuclideanBoxSpace([(0.0, 1.0)])
+    pool = [PointSet(BOX, [(0.5, 0.0, 1.0)]), PointSet(line, [(0.5,)])]
+    for kind in ComparisonKind:
+        with pytest.raises(ValidationError,
+                           match="^point set belongs to a different space$"):
+            pool_comparison_distances(kind, BOX, pool)
+
+
 def test_a_pool_holding_an_empty_set_raises_from_each_pair_that_meets_it():
     line = EuclideanBoxSpace([(0.0, 1.0)])
     pool = [PointSet(line, [(0.0,), (0.5,)]), PointSet(line, []),

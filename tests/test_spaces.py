@@ -248,6 +248,22 @@ def test_graph_with_overflowing_paths_is_too_wide_not_disconnected():
     assert GraphSpace([(0, 1, 1e308)]).diameter == 1e308
 
 
+@pytest.mark.parametrize("edges, n", [
+    ([(0, 10 ** 400, 1.0)], None),
+    ([(0, 2 ** 40, 1.0), (2 ** 40, 0, 2.0)], None),
+    ([(0, 1, 1.0)], 2 ** 40),
+], ids=("id past numpy's dimensions", "parallel edges to a huge id",
+        "huge declared vertex count"))
+def test_graph_with_fewer_edges_than_its_vertices_need_is_not_connected(
+        edges, n):
+    # n vertices need n - 1 distinct edges to be connected; these graphs
+    # are refused before an n x n matrix is asked for.
+    with pytest.raises(ValidationError) as exc:
+        GraphSpace(edges, n)
+    assert str(exc.value) == \
+        "graph is not connected; shortest-path distances are unbounded"
+
+
 def test_graph_metric_axioms_exhaustive_random_instances():
     rng = np.random.default_rng(23)
     for _ in range(25):

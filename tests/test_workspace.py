@@ -76,6 +76,19 @@ def test_duplicate_json_keys_rejected():
     assert "duplicate key" in str(exc.value)
 
 
+@pytest.mark.parametrize("doc, message", [
+    ('{"space": {"kind": "graph", "edges": [[0, 1, 1%s]]}, "sets": {}}'
+     % ("0" * 5000), "Exceeds the limit (4300 digits)"),
+    ('{"space": %s, "sets": {}}' % ("[" * 200000 + "]" * 200000),
+     "maximum recursion depth exceeded"),
+], ids=("integer of 5001 digits", "arrays nested 200000 deep"))
+def test_json_past_the_parser_limits_is_a_parse_error(doc, message):
+    with pytest.raises(ParseError) as exc:
+        loads_workspace(doc)
+    assert str(exc.value).startswith("invalid JSON: ")
+    assert message in str(exc.value)
+
+
 def test_structural_defects_are_parse_errors():
     good_space = '"space": {"kind": "hamming", "alphabet": "01", "length": 2}'
     bad_docs = [
@@ -92,6 +105,35 @@ def test_structural_defects_are_parse_errors():
     for doc in bad_docs:
         with pytest.raises(ParseError):
             loads_workspace(doc)
+
+
+KEY_DEFECTS = {
+    "extra top-level key": ('{"space": %s, "sets": {}, "extra": 1}',
+                            "unexpected keys in workspace document: ['extra']"),
+    "no sets": ('{"space": %s}', "workspace document needs 'sets'"),
+    "no space": ('{"sets": {}}', "workspace document needs 'space'"),
+    "extra space key": ('{"space": {"kind": "graph", "edges": [], "n": 1}, '
+                        '"sets": {}}',
+                        "unexpected keys in graph space descriptor: ['n']"),
+    "no space length": ('{"space": {"kind": "hamming", "alphabet": "01"}, '
+                        '"sets": {}}',
+                        "hamming space descriptor needs 'length'"),
+    "extra penalty key": ('{"space": %s, "m_function": {"variant": "diameter", '
+                          '"value": 2}, "sets": {}}',
+                          "unexpected keys in diameter penalty descriptor: "
+                          "['value']"),
+    "no penalty value": ('{"space": %s, "m_function": {"variant": "constant"}, '
+                         '"sets": {}}',
+                         "constant penalty descriptor needs 'value'"),
+}
+
+
+@pytest.mark.parametrize("doc, message", KEY_DEFECTS.values(), ids=KEY_DEFECTS)
+def test_key_defects_name_the_object_and_the_key(doc, message):
+    space = '{"kind": "hamming", "alphabet": "01", "length": 2}'
+    with pytest.raises(ParseError) as exc:
+        loads_workspace(doc.replace("%s", space))
+    assert str(exc.value) == message
 
 
 def test_inadmissible_constant_is_a_validation_error():
@@ -188,6 +230,31 @@ def test_sequence_text_builds_a_block_on_first_read(monkeypatch):
         first = ws.get_set("set_3")
         assert ws.get_set("set_3") is first
     assert built == [["CCAA", "AAAA"]]
+
+
+def test_json_sets_are_read_only_and_built_on_first_read(monkeypatch):
+    built = []
+    real = PointSet._from_valid.__func__
+
+    def counting(cls, space, items):
+        built.append(list(items))
+        return real(cls, space, items)
+
+    monkeypatch.setattr(PointSet, "_from_valid", classmethod(counting))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # duplicates make no warning either
+        ws = loads_workspace(
+            '{"space": {"kind": "euclidean_box", "bounds": [[-1, 1]]},'
+            ' "sets": {"A": [[0.5], [0], [-0.0], [0.5]], "B": [[1]]}}')
+        assert built == []
+        assert ws.notices == ["set 'A': dropped 2 duplicate element(s)"]
+        first = ws.get_set("A")
+        assert ws.get_set("A") is first
+    assert built == [[(0.5,), (0.0,)]]
+    assert first.elements == ((0.0,), (0.5,))
+    assert "B" in ws.sets and built == [[(0.5,), (0.0,)]]
+    with pytest.raises(TypeError):
+        ws.sets["C"] = first
 
 
 def test_certify_rejects_uncovered_table_and_accepts_covering_one():
