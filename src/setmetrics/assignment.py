@@ -22,13 +22,18 @@ order.  On integer costs this is Dial's bucket form of Dijkstra (CACM
 12(11), 1969), and one step can finalize dozens of tied columns.
 
 The core, ``_shortest_augmenting_paths``, takes finite entries only, as
-Crouse's solver does, and does not check them.  One rule guards it: the
-entry points above and ``_solve_finite``, through which the package's
-own distances reach the core, refuse a matrix unless its spread max - min
-is finite.  The package's costs d - M are <= 0, and the core solves them
-as they are: its dual potentials, and so its optimality conditions, hold
-for entries of any sign (Kuhn, 1955).  The core returns only the
-columns; a caller that needs the total sums it.
+Crouse's solver does, and does not check them.  One rule guards it: no
+matrix reaches it unless its spread max - min is finite.  The entry
+points above, and ``_solve_finite`` for the link distance and the subset
+distance of a penalty with no recorded bound, test each matrix.  The
+subset distance of a built-in penalty on a built-in space tests none:
+every entry of its d - M lies in [-max M, diameter], so the spread is
+at most fl(diameter + max M), which the penalty tested once, at
+construction (``setmetrics.penalties``).  The package's costs d - M
+are <= 0, and the core solves them as they are: its dual potentials,
+and so its optimality conditions, hold for entries of any sign (Kuhn,
+1955).  The core returns only the columns; a caller that needs the total
+sums it.
 
 The core takes a numpy array and has two forms.  On matrices at most
 ``LIST_CORE_MAX_COLS`` (32) wide it reads the array into Python lists
@@ -123,7 +128,9 @@ def _solve_finite(cost: np.ndarray) -> tuple:
     """Columns of a minimum injection for an s x t array, 1 <= s <= t, of
     any sign.  Raises ValidationError, with no warning, unless the spread
     of the entries, and so every entry, is finite: the core subtracts
-    entries from one another through its potentials."""
+    entries from one another through its potentials.  For matrices that
+    no bound known in advance keeps finite: the link distance's, and the
+    subset distance's under a penalty that recorded none."""
     if not _finite_spread(cost):
         raise ValidationError("cost matrix entries must be finite")
     return _shortest_augmenting_paths(cost)
@@ -255,13 +262,29 @@ def _augment(j, start_row, parent_row, row_of_col, col_of_row):
 
 
 def _paths_over_arrays(c: np.ndarray) -> tuple:
-    """The core's numpy form, its column scan vectorized over t columns."""
+    """The core's numpy form, its column scan vectorized over t columns.
+
+    Until the first tree, ``v`` is zero, so a row's first relaxation
+    ``c[row] - v`` is ``c[row]`` bit for bit: one ``c.argmin(axis=1)``
+    gives every row's cheapest column, and the rows before the first
+    whose cheapest column is taken take theirs with no numpy call.  The
+    loop runs from that row on, with its scratch made there."""
     s, t = c.shape
 
     u = [0.0] * s                               # row potentials
-    v = np.zeros(t)                             # column potentials
     col_of_row = [-1] * s
     row_of_col = [-1] * t
+    first = 0       # the first row whose cheapest column at v = 0 is taken
+    for j in c.argmin(axis=1).tolist():
+        if row_of_col[j] >= 0:
+            break
+        u[first] += c.item(first, j)
+        col_of_row[first], row_of_col[j] = j, first
+        first += 1
+    if first == s:
+        return tuple(col_of_row)
+
+    v = np.zeros(t)                             # column potentials
     # inf on the columns taken by rows before ``synced``, 0 elsewhere:
     # brought up to date only for a row whose cheapest column is taken
     blocked = np.zeros(t)
@@ -274,7 +297,7 @@ def _paths_over_arrays(c: np.ndarray) -> tuple:
                                 # is then +inf there, never below dist
     parent_row = np.empty(t, dtype=np.intp)
 
-    for start_row in range(s):
+    for start_row in range(first, s):
         reduced = c[start_row] - v  # the first relaxation: u[start_row] is 0
         j = int(reduced.argmin())
         base = float(reduced[j])

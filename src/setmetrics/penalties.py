@@ -22,18 +22,30 @@ before use.
 Each variant has one kernel, ``values``, over canonical elements (as held
 by a PointSet, not validated again); ``value`` validates one element and
 gives the same float.
+
+Each built-in variant on a built-in space also records at construction
+whether fl(diameter + max M) is finite, max M being its largest value.
+Every built-in space's kernel keeps each d in [0, diameter] bit for bit,
+and every M lies in [0, max M], so every cost d(x, y) - M(y) lies in
+[-max M, diameter]; as rounding is monotone, no matrix of costs spreads
+wider than that sum.  When it is finite, no cost matrix of the penalty
+needs the solver's spread test.  The values that give max M, a constant
+or a table, are read-only.  A subclass of a penalty or of a space, whose
+kernel may compute otherwise, records nothing: its matrices are tested.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .errors import ParseError, ValidationError
-from .spaces import (Element, REAL_TOL, Space, _require_keys, element_to_json,
+from .spaces import (Element, EuclideanBoxSpace, GraphSpace, HammingSpace,
+                     REAL_TOL, Space, _require_keys, element_to_json,
                      finite_real)
 
 
@@ -41,12 +53,24 @@ class PenaltyFunction:
     """Base class binding a penalty variant to a ground space."""
 
     variant: str = ""
+    #: Whether the spread of every matrix of costs d(x, y) - M(y) is known
+    #: finite (module docstring).  When False, the solver tests each one.
+    _bounded_spread = False
 
     def __init__(self, space: Space):
         if space.diameter <= 0:
             raise ValidationError(
                 "penalty functions need a space with at least two elements")
         self.space = space
+
+    def _record_largest(self, largest: float):
+        """Record whether fl(diameter + ``largest``), no value of the
+        penalty exceeding ``largest``, bounds every cost matrix's spread:
+        only for a built-in variant on a built-in space."""
+        self._bounded_spread = (
+            type(self) in _BOUNDED_PENALTIES
+            and type(self.space) in _BOUNDED_SPACES
+            and math.isfinite(self.space.diameter + largest))
 
     def value(self, x) -> float:
         """Penalty charged when ``x`` is left unmatched."""
@@ -94,26 +118,36 @@ class ConstantPenalty(PenaltyFunction):
             raise ValidationError(
                 f"constant penalty must be positive, got {c}")
         self.space = space
-        self.constant = c
+        self._constant = c
+        self._record_largest(c)
+
+    @property
+    def constant(self) -> float:
+        """The value, read-only."""
+        return self._constant
 
     def value(self, x) -> float:
         self.space.validate_element(x)
-        return self.constant
+        return self._constant
 
     def values(self, ys: Sequence[Element]) -> np.ndarray:
-        return np.full(len(ys), self.constant)
+        return np.full(len(ys), self._constant)
 
     def to_json(self) -> dict:
-        return {"variant": self.variant, "value": self.constant}
+        return {"variant": self.variant, "value": self._constant}
 
     def _key(self) -> tuple:
-        return (self.variant, self.constant)
+        return (self.variant, self._constant)
 
 
 class DiameterPenalty(PenaltyFunction):
     """The constant penalty equal to the space diameter."""
 
     variant = "diameter"
+
+    def __init__(self, space: Space):
+        super().__init__(space)
+        self._record_largest(space.diameter)
 
     def value(self, x) -> float:
         self.space.validate_element(x)
@@ -133,6 +167,10 @@ class EccentricityPenalty(PenaltyFunction):
     """M(x) = largest distance from x; the least admissible penalty."""
 
     variant = "eccentricity"
+
+    def __init__(self, space: Space):
+        super().__init__(space)
+        self._record_largest(space.diameter)   # no distance exceeds it
 
     def value(self, x) -> float:
         return self.space.eccentricity(x)
@@ -174,28 +212,41 @@ class TablePenalty(PenaltyFunction):
             table[key] = v
         if not table:
             raise ValidationError("table penalty needs at least one entry")
-        self.table = table
+        self._table = table
+        self._record_largest(max(table.values()))
+
+    @property
+    def table(self) -> Mapping:
+        """The entries, canonical element to value, read-only."""
+        return MappingProxyType(self._table)
 
     def value(self, x) -> float:
         return float(self.values([self.space.validate_element(x)])[0])
 
     def values(self, ys: Sequence[Element]) -> np.ndarray:
         try:
-            return np.array([self.table[y] for y in ys], dtype=float)
+            return np.array([self._table[y] for y in ys], dtype=float)
         except KeyError as missing:
             raise ValidationError(
                 f"no table entry for element {missing.args[0]!r}") from None
 
     def domain(self) -> tuple:
         """Elements the table defines a value for, in canonical order."""
-        return tuple(sorted(self.table))
+        return tuple(sorted(self._table))
 
     def to_json(self) -> dict:
-        entries = [[element_to_json(k), v] for k, v in sorted(self.table.items())]
+        entries = [[element_to_json(k), v] for k, v in sorted(self._table.items())]
         return {"variant": self.variant, "entries": entries}
 
     def _key(self) -> tuple:
-        return (self.variant, tuple(sorted(self.table.items())))
+        return (self.variant, tuple(sorted(self._table.items())))
+
+
+#: The variants and spaces whose kernels the bound of the module docstring
+#: holds for; ``_record_largest`` records no bound for a subclass of either.
+_BOUNDED_PENALTIES = (ConstantPenalty, DiameterPenalty, EccentricityPenalty,
+                      TablePenalty)
+_BOUNDED_SPACES = (HammingSpace, EuclideanBoxSpace, GraphSpace)
 
 
 @dataclass(frozen=True)

@@ -283,6 +283,13 @@ def subset_distance(space: Space, penalty: PenaltyFunction, a: PointSet,
     solved.  Symmetric in (a, b); the orientation of the solve is
     canonical (smaller side first, ties broken on element order), so both
     argument orders run the identical computation.
+
+    The matrix goes to the solver core untested when the penalty recorded
+    that diameter + max M is finite, which bounds the spread of every
+    matrix of its costs (see :mod:`setmetrics.penalties`).  Otherwise,
+    for a penalty or space of a user-defined class or a sum that
+    overflows, ``_solve_finite`` tests its spread and raises
+    ValidationError if it is not finite.
     """
     _check_bound(space, penalty, a, b)
     common = a.intersection(b)
@@ -290,9 +297,11 @@ def subset_distance(space: Space, penalty: PenaltyFunction, a: PointSet,
     source, target, from_a = orient(reduced_a, reduced_b)
     src, tgt = source.elements, target.elements
     dist, penalties = space.pairwise(src, tgt), penalty.values(tgt)
-    # No taller than wide, so valid without solve_injection's checks;
-    # _solve_finite refuses entries whose spread overflows a float.
-    cols = _solve_finite(dist - penalties) if src else ()
+    # No taller than wide, so valid without solve_injection's checks; a
+    # penalty that bounds its costs' spread needs no spread test either.
+    solve = (_shortest_augmenting_paths if penalty._bounded_spread
+             else _solve_finite)
+    cols = solve(dist - penalties) if src else ()
     value = _injection_cost([dist.item(i, j) for i, j in enumerate(cols)],
                             penalties.tolist(), cols)
     pairs = tuple((x, tgt[j]) for x, j in zip(src, cols))
@@ -323,15 +332,17 @@ def pool_distances(space: Space, penalty: PenaltyFunction,
     Before it returns, it prepares the pool once: it numbers the union U
     of the pool's elements, takes the U x U table d of ``space.pairwise``,
     reads the penalties M of U and forms the costs C = d - M of every
-    pair, and tests C's spread, as ``_solve_finite`` tests each pair's: no
-    block of C spreads wider, so each pair's block, the floats of its own
-    d - M, goes straight to the solver core.  Pairs are reduced and
-    oriented on lists of ids and re-summed from d and M as
-    ``subset_distance`` does.  It runs ``subset_distance`` per pair
-    instead when U has more than ``POOL_TABLE_MAX_ELEMENTS`` elements,
-    when the penalty has no value for some element of U (a table penalty,
-    whose error then comes from the pair that meets it), or when C's
-    spread overflows a float, while a pair's may not.
+    pair.  Each pair's block of C, the floats of its own d - M, goes
+    straight to the solver core: the penalty's recorded bound covers it
+    as it covers ``subset_distance``'s matrices, or, for a penalty with no
+    finite bound, one test of C's spread does, since no block of C
+    spreads wider.  Pairs are reduced and oriented on lists of ids and
+    re-summed from d and M as ``subset_distance`` does.  It runs
+    ``subset_distance`` per pair instead when U has more than
+    ``POOL_TABLE_MAX_ELEMENTS`` elements, when the penalty has no value
+    for some element of U (a table penalty, whose error then comes from
+    the pair that meets it), or when that test finds C's spread
+    overflowing a float, while a pair's may not.
     """
     _check_bound(space, penalty, *pool)
 
@@ -347,7 +358,7 @@ def pool_distances(space: Space, penalty: PenaltyFunction,
         return per_pair
     costs = table - penalties
     # the spread of an empty C is undefined, and no pair has a source
-    if union and not _finite_spread(costs):
+    if union and not penalty._bounded_spread and not _finite_spread(costs):
         return per_pair
     listed = penalties.tolist()
     members = [frozenset(ids) for ids in id_sets]

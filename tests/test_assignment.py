@@ -1,6 +1,7 @@
 """Assignment and injection solvers against brute force and scipy."""
 
 import itertools
+import sys
 import time
 
 import numpy as np
@@ -8,12 +9,14 @@ import pytest
 from scipy.optimize import linear_sum_assignment
 
 import setmetrics.assignment
-from setmetrics import (Assignment, DiameterPenalty, EuclideanBoxSpace,
-                        GraphSpace, HammingSpace, PointSet, TablePenalty,
+from setmetrics import (Assignment, ConstantPenalty, DiameterPenalty,
+                        EccentricityPenalty, EuclideanBoxSpace, GraphSpace,
+                        HammingSpace, PenaltyFunction, PointSet, TablePenalty,
                         ValidationError, SizeLimitError,
                         brute_force_assignment, link_distance,
                         solve_assignment, subset_distance)
 from setmetrics.assignment import solve_injection
+from setmetrics.subset_distance import pool_distances
 
 
 def test_single_entry():
@@ -378,6 +381,119 @@ def test_costs_spread_past_the_largest_float_raise():
     with pytest.raises(ValidationError, match="finite"):
         subset_distance(graph, table, PointSet(graph, [0]),
                         PointSet(graph, [1, 2]))
+
+
+class ListedPenalty(PenaltyFunction):
+    """Penalties from a dict, in a subclass the package does not know: it
+    records no bound on its values."""
+
+    variant = "listed"
+
+    def __init__(self, space, table):
+        super().__init__(space)
+        self.table = table
+
+    def values(self, ys):
+        return np.array([self.table[y] for y in ys], dtype=float)
+
+    def to_json(self):
+        return {"variant": self.variant, "entries": sorted(self.table.items())}
+
+    def _key(self):
+        return (self.variant, tuple(sorted(self.table.items())))
+
+
+def count_spread_tests(monkeypatch):
+    """Record the shape of every matrix the per-matrix spread test sees,
+    whichever module calls it."""
+    shapes = []
+    original = setmetrics.assignment._finite_spread
+
+    def counted(c):
+        shapes.append(c.shape)
+        return original(c)
+
+    for module in (setmetrics.assignment,
+                   sys.modules["setmetrics.subset_distance"]):
+        monkeypatch.setattr(module, "_finite_spread", counted)
+    return shapes
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_a_penalty_with_no_recorded_bound_is_tested_per_matrix(monkeypatch):
+    # The costs of test_costs_spread_past_the_largest_float_raise, -1.7e308
+    # and 1e308, from a user-defined penalty: refused by the spread test,
+    # as the built-in table is, and by no other check.
+    graph = GraphSpace([(0, 1, 1.0), (1, 2, 1e308)])
+    listed = ListedPenalty(graph, {0: 0.0, 1: 1.7e308, 2: 0.0})
+    assert not listed._bounded_spread
+    shapes = count_spread_tests(monkeypatch)
+    a, b = PointSet(graph, [0]), PointSet(graph, [1, 2])
+    with pytest.raises(ValidationError,
+                       match="^cost matrix entries must be finite$"):
+        subset_distance(graph, listed, a, b)
+    assert shapes == [(1, 2)]
+    distance = pool_distances(graph, listed, [a, b])
+    assert shapes == [(1, 2), (3, 3)]   # the pool's C, which overflows
+    with pytest.raises(ValidationError,
+                       match="^cost matrix entries must be finite$"):
+        distance(0, 1)
+    assert shapes == [(1, 2), (3, 3), (1, 2)]
+    # Costs of a finite spread are solved, each matrix still tested.
+    tame = ListedPenalty(graph, {0: 1.0, 1: 1.0, 2: 1.0})
+    assert subset_distance(graph, tame, a, b).value == 2.0
+    assert pool_distances(graph, tame, [a, b])(0, 1) == 2.0
+    assert shapes[3:] == [(1, 2), (3, 3)]
+
+
+def test_built_in_penalties_of_a_finite_bound_test_no_matrix(monkeypatch):
+    # diameter + max M is 1.5e308, so no cost matrix spreads wider.
+    graph = GraphSpace([(0, 1, 1.0), (1, 2, 5e307)])
+    shapes = count_spread_tests(monkeypatch)
+    a, b = PointSet(graph, [0]), PointSet(graph, [1, 2])
+    for penalty in (ConstantPenalty(graph, 1e308), EccentricityPenalty(graph),
+                    TablePenalty(graph, {0: 1e308, 1: 1e308, 2: 1e308})):
+        assert penalty._bounded_spread
+        assert subset_distance(graph, penalty, a, b).value \
+            == pool_distances(graph, penalty, [a, b])(0, 1)
+    assert shapes == []
+
+
+class UnboundedGraph(GraphSpace):
+    """A graph whose kernel reports every distance between two vertices
+    as inf, past its diameter: a subclass the package does not know."""
+
+    def pairwise(self, xs, ys):
+        d = super().pairwise(xs, ys)
+        return np.where(d > 0, np.inf, d)
+
+
+class UnboundedTable(TablePenalty):
+    """A table whose kernel charges inf, past its largest entry."""
+
+    def values(self, ys):
+        return np.full(len(super().values(ys)), np.inf)
+
+
+@pytest.mark.parametrize("subclass", ("space", "penalty"))
+def test_subclasses_of_built_in_kinds_are_tested_per_matrix(subclass):
+    # Each breaks the bound's premises, so their costs, inf or -inf, are
+    # refused by the spread test as a user-defined penalty's are.
+    if subclass == "space":
+        graph = UnboundedGraph([(0, 1, 1.0), (1, 2, 1.0)])
+        penalty = DiameterPenalty(graph)
+    else:
+        graph = GraphSpace([(0, 1, 1.0), (1, 2, 1.0)])
+        penalty = UnboundedTable(graph, {0: 2.0, 1: 2.0, 2: 2.0})
+    assert not penalty._bounded_spread
+    a, b = PointSet(graph, [0]), PointSet(graph, [1, 2])
+    with pytest.raises(ValidationError,
+                       match="^cost matrix entries must be finite$"):
+        subset_distance(graph, penalty, a, b)
+    distance = pool_distances(graph, penalty, [a, b])
+    with pytest.raises(ValidationError,
+                       match="^cost matrix entries must be finite$"):
+        distance(0, 1)
 
 
 WIDTH = setmetrics.assignment.LIST_CORE_MAX_COLS

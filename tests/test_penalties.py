@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from setmetrics import (ConstantPenalty, DiameterPenalty, EccentricityPenalty,
@@ -13,6 +13,7 @@ from setmetrics import (ConstantPenalty, DiameterPenalty, EccentricityPenalty,
                         ParseError, PenaltyViolation, REAL_TOL, TablePenalty,
                         ValidationError, parse_penalty_spec, penalty_from_json,
                         sequence_subset_distance, validate_penalty)
+from setmetrics.assignment import _finite_spread
 from setmetrics.penalties import _admissibility_report
 
 from generators import count_validations, space_family, unit_interval
@@ -162,6 +163,93 @@ def test_admissibility_report_equals_a_literal_double_loop(case):
     assert report.sample_size == len(elements)
 
 
+#: Box bounds on the unit scale, or up to the largest float, where a
+#: box's diameter, or a cost's spread, overflows to inf.
+_BOUNDS = (st.floats(-10.0, 10.0),
+           st.one_of(st.floats(-1e308, 1e308),
+                     st.sampled_from([-1.7976931348623157e308, -1e308, 0.0,
+                                      1e-300, 1e308, 1.7976931348623157e308])))
+
+
+@st.composite
+def spaces_with_elements(draw):
+    """A space of any kind and up to 8 distinct canonical elements of it:
+    box points drawn up to REAL_TOL past the bounds, which validation
+    clamps to them."""
+    kind = draw(st.sampled_from(["hamming", "box", "graph"]))
+    if kind == "hamming":
+        alphabet = draw(st.sampled_from(["A", "01", "ACGT"]))
+        space = HammingSpace(alphabet, draw(st.integers(1, 6)))
+        word = st.lists(st.sampled_from(alphabet), min_size=space.length,
+                        max_size=space.length).map("".join)
+        items = draw(st.lists(word, min_size=1, max_size=8))
+    elif kind == "box":
+        scale = draw(st.sampled_from(_BOUNDS))
+        bounds = [sorted(draw(st.lists(scale, min_size=2, max_size=2)))
+                  for _ in range(draw(st.integers(1, 3)))]
+        space = EuclideanBoxSpace(bounds)
+        items = draw(st.lists(
+            st.tuples(*(st.floats(lo - REAL_TOL, hi + REAL_TOL)
+                        for lo, hi in bounds)), min_size=1, max_size=8))
+    else:
+        n = draw(st.integers(2, 6))
+        weights = draw(st.lists(st.sampled_from([0.5, 1.0, 2.5, 4e307]),
+                                min_size=2 * n, max_size=2 * n))
+        if sum(weights) > 1.7e308:  # keep every path length finite
+            weights = [1.0] * (2 * n)
+        # a path through every vertex, and n chords
+        ends = draw(st.lists(st.integers(0, n - 1), min_size=2 * n,
+                             max_size=2 * n))
+        edges = [(k, k + 1, weights[k]) for k in range(n - 1)]
+        edges += [(ends[k], ends[n + k], weights[n + k]) for k in range(n)
+                  if ends[k] != ends[n + k]]
+        space = GraphSpace(edges, n)
+        items = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=8))
+    return space, sorted(set(space.validate_elements(items)))
+
+
+@st.composite
+def builtin_penalties(draw, space, elements):
+    """A built-in penalty on ``space``; a table covers ``elements``."""
+    variants = ["table", "constant"] if space.diameter > 0 else ["constant"]
+    if space.diameter > 0:
+        variants += ["diameter", "eccentricity"]
+    variant = draw(st.sampled_from(variants))
+    if variant == "constant":
+        assume(space.diameter < math.inf)
+        return ConstantPenalty(space, draw(st.floats(
+            max(space.diameter, math.ulp(0.0)), 1.7976931348623157e308)))
+    if variant == "table":
+        return TablePenalty(space, [(x, draw(_TABLE_VALUES)) for x in elements])
+    return {"diameter": DiameterPenalty,
+            "eccentricity": EccentricityPenalty}[variant](space)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_every_cost_lies_within_the_bound_its_penalty_records(data):
+    # The premises of the bound that spares subset distances their spread
+    # test: 0 <= d <= diameter and 0 <= M <= the recorded max M, bit for
+    # bit, so every d - M lies in [-max M, diameter] and a finite
+    # diameter + max M bounds the spread of every cost matrix.
+    space, elements = data.draw(spaces_with_elements())
+    penalty = data.draw(builtin_penalties(space, elements))
+    largest = {"constant": lambda: penalty.constant,
+               "table": lambda: max(penalty.table.values())}.get(
+                   penalty.variant, lambda: space.diameter)()
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = space.pairwise(elements, elements)
+        m = penalty.values(elements)
+        costs = d - m
+    assert 0.0 <= d.min() and d.max() <= space.diameter
+    assert 0.0 <= m.min() and m.max() <= largest
+    assert penalty._bounded_spread == math.isfinite(space.diameter + largest)
+    if penalty._bounded_spread:
+        assert -largest <= costs.min()
+        assert costs.max() <= space.diameter
+        assert _finite_spread(costs)
+
+
 def test_validate_penalty_rejects_a_penalty_of_another_space():
     with pytest.raises(ValidationError, match="different space"):
         validate_penalty(unit_interval(), DiameterPenalty(HammingSpace("01", 2)),
@@ -192,6 +280,22 @@ def test_table_penalty_lookup_and_domain():
     assert set(table.domain()) == {"00", "11"}
     with pytest.raises(ValidationError):
         table.value("01")
+
+
+def test_the_values_a_bound_is_recorded_from_are_read_only():
+    # The recorded bound on the costs' spread stays true of the penalty.
+    hs = HammingSpace("01", 2)
+    table = TablePenalty(hs, [("00", 2.0), ("11", 2.5)])
+    with pytest.raises(TypeError):
+        table.table["00"] = math.inf
+    with pytest.raises(AttributeError):
+        table.table = {"00": math.inf}
+    constant = ConstantPenalty(hs, 2.0)
+    with pytest.raises(AttributeError):
+        constant.constant = math.inf
+    assert table.table == {"00": 2.0, "11": 2.5}
+    assert constant.constant == 2.0
+    assert table.values(["00"]).tolist() == constant.values(["00"]).tolist()
 
 
 def penalty_variants(space, rng, elements):

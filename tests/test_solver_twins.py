@@ -45,11 +45,18 @@ def seeded_matrix(rng, kind, shape):
     return rng.random(shape) * 10.0 ** rng.integers(-6, 10, size=shape)
 
 
-@pytest.mark.parametrize("t", (WIDTH, WIDTH + 1))
+#: Row counts per width: every height at the cut-over, and the few rows
+#: of the lopsided subset distances, 1-8 against 100-148, which read
+#: their cheapest columns from one argmin until the first tree.
+SEEDED_ROWS = {t: (1, 2, t // 4, t // 2, t - 1, t)
+               for t in (WIDTH, WIDTH + 1)} | {100: (1, 4, 8), 148: (1, 4, 8)}
+
+
+@pytest.mark.parametrize("t", SEEDED_ROWS)
 @pytest.mark.parametrize("kind", ("int3", "int21", "uniform", "spread"))
 def test_twins_agree_on_seeded_matrices_at_the_cut_over(kind, t):
     rng = np.random.default_rng([t, len(kind)])
-    for s in (1, 2, t // 4, t // 2, t - 1, t):
+    for s in SEEDED_ROWS[t]:
         for _ in range(4):
             assert_twins_agree(seeded_matrix(rng, kind, (s, t)))
 
@@ -174,3 +181,40 @@ def test_twins_agree_above_the_cut_over(t):
         assert_twins_agree(rng.integers(0, 3, size=(s, t)).astype(float))
     t = int(rng.integers(64, 100))
     assert_twins_agree(rng.integers(0, 3, size=(t // 2, t)).astype(float))
+
+
+def first_collision(t, after_tree):
+    """8 x t costs on which row 3 takes column t - 1 by one edge: its
+    cheapest column 5 is row 0's and ties the free column t - 1 (Crouse's
+    rule), where a tree from row 3 would reach column 8 through row 0 at
+    the same cost and end there.  Without ``after_tree``, rows 0-2 take
+    their cheapest columns at v = 0 by one edge, in the numpy form's first
+    argmin, and row 3 is the first whose cheapest column is taken, before
+    any tree.  With it, row 2's cheapest column is row 1's, and the tree
+    it grows moves row 1 to column 9 and lowers v[7]; row 3's cheapest
+    column at v = 0, 7, is then no longer its cheapest.  Rows 4-7 take
+    columns of their own."""
+    c = np.zeros((8, t))
+    c[0, 5] = c[0, 8] = c[3, 5] = c[3, t - 1] = -3.0
+    c[1, 7] = -2.0
+    if after_tree:
+        c[1, 9] = -1.0
+        c[2, 7] = -2.0
+        c[3, 7] = -3.5
+    else:
+        c[2, 11] = -2.0
+    for r in range(4, 8):
+        c[r, 20 + r] = -1.0
+    return c
+
+
+@pytest.mark.parametrize("t", (100, 148))
+@pytest.mark.parametrize("after_tree", (False, True),
+                         ids=("before any tree", "after a tree"))
+def test_twins_agree_on_a_first_collision_at_lopsided_widths(t, after_tree):
+    c = first_collision(t, after_tree)
+    columns = assert_twins_agree(c)
+    assert columns[:4] == ((5, 9, 7, t - 1) if after_tree
+                           else (5, 7, 11, t - 1))
+    for s in (1, 4):
+        assert assert_twins_agree(c[:s]) == columns[:s]
