@@ -24,16 +24,16 @@ order.  On integer costs this is Dial's bucket form of Dijkstra (CACM
 The core, ``_shortest_augmenting_paths``, takes finite entries only, as
 Crouse's solver does, and does not check them.  One rule guards it: no
 matrix reaches it unless its spread max - min is finite.  The entry
-points above, and ``_solve_finite`` for the link distance and the subset
-distance of a penalty with no recorded bound, test each matrix.  The
-subset distance of a built-in penalty on a built-in space tests none:
-every entry of its d - M lies in [-max M, diameter], so the spread is
-at most fl(diameter + max M), which the penalty tested once, at
-construction (``setmetrics.penalties``).  The package's costs d - M
-are <= 0, and the core solves them as they are: its dual potentials,
-and so its optimality conditions, hold for entries of any sign (Kuhn,
-1955).  The core returns only the columns; a caller that needs the total
-sums it.
+points above, and ``_solve_finite`` for the link distance, test each
+matrix.  The subset distance, of a pair or of a pool's block, tests each
+with ``_solve_finite`` unless its penalty recorded a finite bound: on a
+built-in space, every entry of a built-in penalty's d - M lies in
+[-max M, diameter], so the spread is at most fl(diameter + max M), which
+the penalty tested once, at construction (``setmetrics.penalties``).
+The package's costs d - M are <= 0, and the core solves them as they
+are: its dual potentials, and so its optimality conditions, hold for
+entries of any sign (Kuhn, 1955).  The core returns only the columns; a
+caller that needs the total sums it.
 
 The core takes a numpy array and has two forms.  On matrices at most
 ``LIST_CORE_MAX_COLS`` (32) wide it reads the array into Python lists
@@ -137,9 +137,7 @@ def _solve_finite(cost: np.ndarray) -> tuple:
 
 
 def _finite_spread(c: np.ndarray) -> bool:
-    """Whether max - min of a non-empty array is finite.  Then so is the
-    spread of every sub-matrix: its max is no larger and its min no
-    smaller, and rounding the difference is monotone."""
+    """Whether max - min of a non-empty array is finite."""
     return math.isfinite(float(c.max()) - float(c.min()))
 
 

@@ -80,11 +80,8 @@ def round_real(x: float) -> float:
 
 
 def _load(args) -> Workspace:
-    if getattr(args, "text", False):
-        ws = load_sequence_sets(args.file)
-    else:
-        ws = load_workspace(args.file)
-    if getattr(args, "m_spec", None):
+    ws = (load_sequence_sets if args.text else load_workspace)(args.file)
+    if args.m_spec:
         ws.penalty = parse_penalty_spec(ws.space, args.m_spec)
     for note in ws.notices:
         print(f"note: {note}", file=sys.stderr)

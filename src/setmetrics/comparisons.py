@@ -29,9 +29,9 @@ import numpy as np
 from .assignment import _solve_finite, _total
 # Unused here; bound so that perfbench/tracing.py can wrap it by name.
 from .assignment import solve_assignment  # noqa: F401
-from .errors import DomainError, SizeLimitError, ValidationError
+from .errors import DomainError, SizeLimitError
 from .spaces import Space, _take_block
-from .subset_distance import PointSet, _prepare_pool, orient
+from .subset_distance import PointSet, _check_in_space, _prepare_pool, orient
 
 #: Cap on max(|a|, |b|) for the surjection enumerators (7^7 functions).
 SURJECTION_MAX_SET = 7
@@ -52,8 +52,7 @@ _EMPTY = "comparison distances are undefined for empty sets"
 
 def _check_pair(space: Space, a: PointSet, b: PointSet):
     for s in (a, b):
-        if s.space != space:
-            raise ValidationError("point set belongs to a different space")
+        _check_in_space(space, s)
         if len(s) == 0:
             raise DomainError(_EMPTY)
 
@@ -222,9 +221,7 @@ def pool_comparison_distances(kind: ComparisonKind, space: Space,
     pair.
     """
     kernel = _KERNELS[ComparisonKind(kind)]
-    for s in pool:
-        if s.space != space:
-            raise ValidationError("point set belongs to a different space")
+    _check_in_space(space, *pool)
     _, id_sets, table = _prepare_pool(space, pool)
     if table is None:
         def per_pair(i: int, j: int) -> float:

@@ -45,8 +45,8 @@ import numpy as np
 
 from .errors import ParseError, ValidationError
 from .spaces import (Element, EuclideanBoxSpace, GraphSpace, HammingSpace,
-                     REAL_TOL, Space, _require_keys, element_to_json,
-                     finite_real)
+                     REAL_TOL, Space, _json_repr, _require_keys,
+                     element_to_json, finite_real)
 
 
 class PenaltyFunction:
@@ -97,7 +97,7 @@ class PenaltyFunction:
         return hash((self._key(), self.space))
 
     def __repr__(self) -> str:
-        return f"{type(self).__name__}({self.to_json()})"
+        return _json_repr(self)
 
 
 class ConstantPenalty(PenaltyFunction):
@@ -306,7 +306,7 @@ def validate_penalty(space: Space, penalty: PenaltyFunction,
     together with the smallest sampled penalty value.
     """
     if penalty.space != space:
-        raise ValidationError("penalty is bound to a different space")
+        raise ValidationError("penalty function is bound to a different space")
     # Each distinct element once, in order of first appearance.
     elements = list(dict.fromkeys(space.validate_elements(sample)))
     if not elements:

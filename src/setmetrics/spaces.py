@@ -137,7 +137,7 @@ class Space:
         return hash(self._key())
 
     def __repr__(self) -> str:
-        return f"{type(self).__name__}({self.to_json()})"
+        return _json_repr(self)
 
 
 class HammingSpace(Space):
@@ -464,6 +464,15 @@ def _require_keys(obj: dict, what: str, required: tuple,
     for key in required:
         if key not in obj:
             raise ParseError(f"{what} needs {key!r}")
+
+
+def _json_repr(obj) -> str:
+    """``Kind(<to_json form>)``; ``Kind()`` if a user class defines none."""
+    try:
+        form = obj.to_json()
+    except NotImplementedError:
+        form = ""
+    return f"{type(obj).__name__}({form})"
 
 
 def element_to_json(x: Element):

@@ -30,13 +30,12 @@ from typing import Callable, Iterable, Mapping, Sequence, Union
 
 import numpy as np
 
-from .assignment import (_finite_spread, _shortest_augmenting_paths,
-                         _solve_finite)
+from .assignment import _shortest_augmenting_paths, _solve_finite
 # Unused here; bound so that perfbench/tracing.py can wrap it by name.
 from .assignment import solve_assignment  # noqa: F401
 from .errors import SizeLimitError, ValidationError
 from .penalties import ConstantPenalty, PenaltyFunction
-from .spaces import Element, HammingSpace, Space, _take_block
+from .spaces import Element, HammingSpace, Space, _take_block, element_to_json
 
 #: Largest set size accepted by the injection enumerator (7!/1! injections).
 BRUTE_FORCE_MAX_SET = 7
@@ -134,7 +133,7 @@ class PointSet:
         return PointSet._from_canonical(self.space, kept)
 
     def to_json(self) -> list:
-        return [list(x) if isinstance(x, tuple) else x for x in self.elements]
+        return [element_to_json(x) for x in self.elements]
 
 
 @dataclass(frozen=True)
@@ -218,12 +217,16 @@ def orient(a: PointSet, b: PointSet):
     return b, a, False
 
 
-def _check_bound(space: Space, penalty: PenaltyFunction, *sets: PointSet):
-    if penalty.space != space:
-        raise ValidationError("penalty function is bound to a different space")
+def _check_in_space(space: Space, *sets: PointSet):
     for s in sets:
         if s.space != space:
             raise ValidationError("point set belongs to a different space")
+
+
+def _check_bound(space: Space, penalty: PenaltyFunction, *sets: PointSet):
+    if penalty.space != space:
+        raise ValidationError("penalty function is bound to a different space")
+    _check_in_space(space, *sets)
 
 
 def chi_distance(space: Space, penalty: PenaltyFunction, a: PointSet,
@@ -284,12 +287,9 @@ def subset_distance(space: Space, penalty: PenaltyFunction, a: PointSet,
     canonical (smaller side first, ties broken on element order), so both
     argument orders run the identical computation.
 
-    The matrix goes to the solver core untested when the penalty recorded
-    that diameter + max M is finite, which bounds the spread of every
-    matrix of its costs (see :mod:`setmetrics.penalties`).  Otherwise,
-    for a penalty or space of a user-defined class or a sum that
-    overflows, ``_solve_finite`` tests its spread and raises
-    ValidationError if it is not finite.
+    The matrix is tested, or not, by the one rule of
+    :mod:`setmetrics.assignment`, and refused with ValidationError if its
+    spread is not finite.
     """
     _check_bound(space, penalty, a, b)
     common = a.intersection(b)
@@ -332,17 +332,14 @@ def pool_distances(space: Space, penalty: PenaltyFunction,
     Before it returns, it prepares the pool once: it numbers the union U
     of the pool's elements, takes the U x U table d of ``space.pairwise``,
     reads the penalties M of U and forms the costs C = d - M of every
-    pair.  Each pair's block of C, the floats of its own d - M, goes
-    straight to the solver core: the penalty's recorded bound covers it
-    as it covers ``subset_distance``'s matrices, or, for a penalty with no
-    finite bound, one test of C's spread does, since no block of C
-    spreads wider.  Pairs are reduced and oriented on lists of ids and
-    re-summed from d and M as ``subset_distance`` does.  It runs
-    ``subset_distance`` per pair instead when U has more than
-    ``POOL_TABLE_MAX_ELEMENTS`` elements, when the penalty has no value
-    for some element of U (a table penalty, whose error then comes from
-    the pair that meets it), or when that test finds C's spread
-    overflowing a float, while a pair's may not.
+    pair.  Pairs are reduced and oriented on lists of ids, and each
+    pair's block of C, the floats of its own d - M, is solved as
+    ``subset_distance`` solves that matrix (see :mod:`setmetrics.assignment`
+    for the one rule that refuses a matrix), then re-summed from d and M
+    as ``subset_distance`` does.  It runs ``subset_distance`` per pair
+    instead when U has more than ``POOL_TABLE_MAX_ELEMENTS`` elements, or
+    when the penalty has no value for some element of U (a table penalty,
+    whose error then comes from the pair that meets it).
     """
     _check_bound(space, penalty, *pool)
 
@@ -357,9 +354,8 @@ def pool_distances(space: Space, penalty: PenaltyFunction,
     except ValidationError:
         return per_pair
     costs = table - penalties
-    # the spread of an empty C is undefined, and no pair has a source
-    if union and not penalty._bounded_spread and not _finite_spread(costs):
-        return per_pair
+    solve = (_shortest_augmenting_paths if penalty._bounded_spread
+             else _solve_finite)
     listed = penalties.tolist()
     members = [frozenset(ids) for ids in id_sets]
 
@@ -370,7 +366,7 @@ def pool_distances(space: Space, penalty: PenaltyFunction,
             b = [k for k in b if k not in members[i]]
         if (len(a), a) > (len(b), b):
             a, b = b, a
-        cols = _shortest_augmenting_paths(_take_block(costs, a, b)) if a else ()
+        cols = solve(_take_block(costs, a, b)) if a else ()
         return _injection_cost([table.item(x, b[c]) for x, c in zip(a, cols)],
                                [listed[k] for k in b], cols)
 

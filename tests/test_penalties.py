@@ -14,7 +14,7 @@ from setmetrics import (ConstantPenalty, DiameterPenalty, EccentricityPenalty,
                         ValidationError, parse_penalty_spec, penalty_from_json,
                         sequence_subset_distance, validate_penalty)
 from setmetrics.assignment import _finite_spread
-from setmetrics.penalties import _admissibility_report
+from setmetrics.penalties import PenaltyFunction, _admissibility_report
 
 from generators import count_validations, space_family, unit_interval
 
@@ -248,6 +248,17 @@ def test_every_cost_lies_within_the_bound_its_penalty_records(data):
         assert -largest <= costs.min()
         assert costs.max() <= space.diameter
         assert _finite_spread(costs)
+
+
+class BarePenalty(PenaltyFunction):
+    """A user-defined penalty that defines no JSON form."""
+
+
+def test_repr_shows_the_json_form_or_else_the_class_name():
+    space = unit_interval()
+    table = TablePenalty(space, {(0.0,): 1.0, (1.0,): 1.0})
+    assert repr(table) == f"TablePenalty({table.to_json()})"
+    assert repr(BarePenalty(space)) == "BarePenalty()"
 
 
 def test_validate_penalty_rejects_a_penalty_of_another_space():

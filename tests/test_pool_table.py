@@ -138,7 +138,7 @@ def outcome(compute):
 def test_costs_spread_past_a_float_run_every_pair_as_subset_distance():
     # The pool's costs d - M run from -1.1e308 to 1e308, a spread no float
     # holds, yet every pair's own costs are solvable and its distance is
-    # finite: the pool runs subset_distance per pair rather than raise.
+    # finite: the pool tests each pair's block, not C, rather than raise.
     path = GraphSpace([(0, 1, 1.2e308)])
     table = TablePenalty(path, {0: 2e307, 1: 1.1e308})
     pool = [PointSet(path, [0]), PointSet(path, [1]), PointSet(path, [0, 1]),
@@ -149,6 +149,32 @@ def test_costs_spread_past_a_float_run_every_pair_as_subset_distance():
         for j, b in enumerate(pool):
             expected = subset_distance(path, table, a, b).value
             assert distance(i, j).hex() == expected.hex(), (a, b)
+
+
+def test_costs_spread_past_a_float_are_solved_from_the_table(monkeypatch):
+    # The costs above, under a penalty that records no bound: each pair's
+    # block of C is tested and solved as subset_distance tests and solves
+    # its own d - M, and no pair calls subset_distance.
+    module = importlib.import_module("setmetrics.subset_distance")
+    calls = []
+    original = module.subset_distance
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(module, "subset_distance", counted)
+    path = GraphSpace([(0, 1, 1.2e308)])
+    table = TablePenalty(path, {0: 2e307, 1: 1.1e308})
+    assert not table._bounded_spread
+    pool = [PointSet(path, [0]), PointSet(path, [1]), PointSet(path, [0, 1]),
+            PointSet(path, [])]
+    distance = pool_distances(path, table, pool)
+    values = [[distance(i, j).hex() for j in range(4)] for i in range(4)]
+    assert calls == []
+    for i, a in enumerate(pool):
+        for j, b in enumerate(pool):
+            assert values[i][j] == original(path, table, a, b).value.hex()
 
 
 def test_non_finite_costs_raise_from_the_pair_subset_distance_raises_from():

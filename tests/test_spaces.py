@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from setmetrics import (EuclideanBoxSpace, GraphSpace, HammingSpace,
-                        ParseError, ValidationError, space_from_json)
+                        ParseError, Space, ValidationError, space_from_json)
 
 from generators import random_connected_graph, space_family
 
@@ -19,6 +19,16 @@ def test_hamming_distance_counts_differing_positions():
     assert hs.distance("000", "011") == 2.0
     assert hs.distance("000", "000") == 0.0
     assert hs.distance("111", "000") == 3.0
+
+
+class BareSpace(Space):
+    """A user-defined space that defines no JSON form."""
+
+
+def test_repr_shows_the_json_form_or_else_the_class_name():
+    hs = HammingSpace("01", 3)
+    assert repr(hs) == f"HammingSpace({hs.to_json()})"
+    assert repr(BareSpace()) == "BareSpace()"
 
 
 def test_hamming_diameter_is_word_length():
