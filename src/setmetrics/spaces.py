@@ -21,6 +21,13 @@ same pattern: the kernel ``eccentricities`` over canonical elements,
 read by ``eccentricity``.
 All operations are pure; instances are immutable after construction and
 safe to share across threads.
+
+The two kernels with an n x n or s x t x L working array, the graph's
+Floyd-Warshall and the Hamming compare, run over blocks of rows sized
+to one private byte budget, so that a block stays in a core's cache
+and the compare's peak stays bounded.  Each cell takes the same
+operations with the same operands as in one pass over all rows, so
+blocking changes no bit of any distance.
 """
 
 from __future__ import annotations
@@ -39,6 +46,11 @@ Element = Union[str, tuple, int]
 
 #: Absolute tolerance for all real-valued comparisons in validity checks.
 REAL_TOL = 1e-9
+
+#: Bytes of working array one block of rows may take in the row-blocked
+#: kernels (``_shortest_paths``, ``HammingSpace.pairwise``): a block and
+#: its temporary fit a 2 MB L2 cache.
+_BLOCK_BYTES = 512 * 1024
 
 
 def finite_real(value, what: str) -> float:
@@ -189,10 +201,20 @@ class HammingSpace(Space):
     def pairwise(self, xs: Sequence[str], ys: Sequence[str]) -> np.ndarray:
         # Count mismatched code points; utf-32 keeps any alphabet exact.
         # Each count is at most the length, so einsum adds it exactly in
-        # float64, in any order.
+        # float64, in any order.  A mismatch array larger than
+        # _BLOCK_BYTES goes in blocks of rows, each counted into its
+        # slice of the result.
         p, q = (np.frombuffer("".join(words).encode("utf-32-le"), dtype="<u4")
                 .reshape(len(words), self.length) for words in (xs, ys))
-        return np.einsum("ijk->ij", p[:, None, :] != q[None, :, :], dtype=float)
+        if len(p) * q.size <= _BLOCK_BYTES:
+            return np.einsum("ijk->ij", p[:, None, :] != q[None, :, :],
+                             dtype=float)
+        out = np.empty((len(p), len(q)))
+        height = _block_rows(q.size)
+        for i in range(0, len(p), height):
+            np.einsum("ijk->ij", p[i:i + height, None, :] != q[None, :, :],
+                      dtype=float, out=out[i:i + height])
+        return out
 
     def eccentricities(self, xs: Sequence[str]) -> np.ndarray:
         # With >= 2 symbols a word differing in every coordinate exists.
@@ -302,7 +324,10 @@ class GraphSpace(Space):
     positive finite weights; zero-weight edges would collapse distinct
     vertices to distance 0 and are rejected.  All-pairs distances are
     precomputed with Floyd-Warshall at construction, and with them each
-    vertex's eccentricity and the diameter.
+    vertex's eccentricity and the diameter.  Above 256 vertices the
+    table is swept in cache-sized blocks of rows (see
+    ``_shortest_paths``); every entry is the float the plain loop gives,
+    so the table stays exactly symmetric.
     """
 
     kind = "graph"
@@ -414,12 +439,51 @@ def _take_block(table: np.ndarray, rows: Sequence[int],
             .take(np.array(cols, dtype=np.intp), axis=1))
 
 
+def _block_rows(row_bytes: int) -> int:
+    """Rows per block for rows of ``row_bytes`` bytes: as many as fit in
+    ``_BLOCK_BYTES``, and at least one (also for empty rows)."""
+    return max(1, _BLOCK_BYTES // max(row_bytes, 1))
+
+
 def _shortest_paths(dm: np.ndarray) -> np.ndarray:
-    """Floyd-Warshall over the edge-weight matrix ``dm``, in place; a path
-    length that overflows a float becomes inf."""
+    """Floyd-Warshall over the symmetric edge-weight matrix ``dm``, in
+    place; a path length that overflows a float becomes inf.
+
+    Step k sets every cell to min(d_ij, d_ik + d_kj), for k = 0..n-1 in
+    order.  Up to 256 vertices (one block of ``_block_rows``) each step
+    sweeps the whole table.  Larger tables go in blocks of rows, so that
+    the rows a step sweeps and its temporary stay in cache: for each
+    block K of pivot rows, K's own steps run on rows K, each pivot row
+    kept as it stood at its step; then every other block takes the same
+    steps, in k order.  Every step keeps d exactly symmetric (IEEE
+    addition commutes), so a row's d_ik before step k is entry i of the
+    kept row k, and another block updates only its cells right of its
+    first column: the cells left of it mirror cells of earlier rows,
+    copied in before the block's own steps and at the end.  So each cell
+    takes the same steps with the operands of the whole-table sweep: the
+    same floats, bit for bit.
+    """
+    n = len(dm)
+    height = _block_rows(n * dm.itemsize)
+    starts = range(0, n, height)
+    kept = np.empty((height, n), dm.dtype) if height < n else None
     with np.errstate(over="ignore"):
-        for k in range(len(dm)):
-            np.minimum(dm, dm[:, k, None] + dm[None, k, :], out=dm)
+        for k0 in starts:
+            pivots = dm[k0:k0 + height]
+            pivots[:, :k0] = dm[:k0, k0:k0 + height].T
+            for j in range(len(pivots)):
+                if kept is not None:
+                    kept[j] = pivots[j]
+                np.minimum(pivots, pivots[:, k0 + j, None] + pivots[None, j],
+                           out=pivots)
+            for i0 in starts:
+                if i0 != k0:
+                    rows = dm[i0:i0 + height, i0:]
+                    for j in range(len(pivots)):
+                        np.minimum(rows, kept[j, i0:i0 + height, None]
+                                   + kept[j, None, i0:], out=rows)
+    for i0 in starts:
+        dm[i0:i0 + height, :i0] = dm[:i0, i0:i0 + height].T
     return dm
 
 
