@@ -22,12 +22,10 @@ read by ``eccentricity``.
 All operations are pure; instances are immutable after construction and
 safe to share across threads.
 
-The two kernels with an n x n or s x t x L working array, the graph's
-Floyd-Warshall and the Hamming compare, run over blocks of rows sized
-to one private byte budget, so that a block stays in a core's cache
-and the compare's peak stays bounded.  Each cell takes the same
-operations with the same operands as in one pass over all rows, so
-blocking changes no bit of any distance.
+The graph's Floyd-Warshall runs over blocks of rows sized to a private
+byte budget, so that the rows a step sweeps stay in a core's cache.
+Each cell takes the same operations with the same operands as in one
+sweep over all rows, so blocking changes no bit of any distance.
 """
 
 from __future__ import annotations
@@ -47,9 +45,8 @@ Element = Union[str, tuple, int]
 #: Absolute tolerance for all real-valued comparisons in validity checks.
 REAL_TOL = 1e-9
 
-#: Bytes of working array one block of rows may take in the row-blocked
-#: kernels (``_shortest_paths``, ``HammingSpace.pairwise``): a block and
-#: its temporary fit a 2 MB L2 cache.
+#: Bytes of distance table one block of rows may take in
+#: ``_shortest_paths``: a block and its temporary fit a 2 MB L2 cache.
 _BLOCK_BYTES = 512 * 1024
 
 
@@ -201,20 +198,10 @@ class HammingSpace(Space):
     def pairwise(self, xs: Sequence[str], ys: Sequence[str]) -> np.ndarray:
         # Count mismatched code points; utf-32 keeps any alphabet exact.
         # Each count is at most the length, so einsum adds it exactly in
-        # float64, in any order.  A mismatch array larger than
-        # _BLOCK_BYTES goes in blocks of rows, each counted into its
-        # slice of the result.
+        # float64, in any order.
         p, q = (np.frombuffer("".join(words).encode("utf-32-le"), dtype="<u4")
                 .reshape(len(words), self.length) for words in (xs, ys))
-        if len(p) * q.size <= _BLOCK_BYTES:
-            return np.einsum("ijk->ij", p[:, None, :] != q[None, :, :],
-                             dtype=float)
-        out = np.empty((len(p), len(q)))
-        height = _block_rows(q.size)
-        for i in range(0, len(p), height):
-            np.einsum("ijk->ij", p[i:i + height, None, :] != q[None, :, :],
-                      dtype=float, out=out[i:i + height])
-        return out
+        return np.einsum("ijk->ij", p[:, None, :] != q[None, :, :], dtype=float)
 
     def eccentricities(self, xs: Sequence[str]) -> np.ndarray:
         # With >= 2 symbols a word differing in every coordinate exists.
@@ -439,32 +426,26 @@ def _take_block(table: np.ndarray, rows: Sequence[int],
             .take(np.array(cols, dtype=np.intp), axis=1))
 
 
-def _block_rows(row_bytes: int) -> int:
-    """Rows per block for rows of ``row_bytes`` bytes: as many as fit in
-    ``_BLOCK_BYTES``, and at least one (also for empty rows)."""
-    return max(1, _BLOCK_BYTES // max(row_bytes, 1))
-
-
 def _shortest_paths(dm: np.ndarray) -> np.ndarray:
     """Floyd-Warshall over the symmetric edge-weight matrix ``dm``, in
     place; a path length that overflows a float becomes inf.
 
     Step k sets every cell to min(d_ij, d_ik + d_kj), for k = 0..n-1 in
-    order.  Up to 256 vertices (one block of ``_block_rows``) each step
-    sweeps the whole table.  Larger tables go in blocks of rows, so that
-    the rows a step sweeps and its temporary stay in cache: for each
-    block K of pivot rows, K's own steps run on rows K, each pivot row
-    kept as it stood at its step; then every other block takes the same
-    steps, in k order.  Every step keeps d exactly symmetric (IEEE
-    addition commutes), so a row's d_ik before step k is entry i of the
-    kept row k, and another block updates only its cells right of its
-    first column: the cells left of it mirror cells of earlier rows,
-    copied in before the block's own steps and at the end.  So each cell
-    takes the same steps with the operands of the whole-table sweep: the
-    same floats, bit for bit.
+    order.  Up to 256 vertices (one block: as many rows as fit in
+    ``_BLOCK_BYTES``) each step sweeps the whole table.  Larger tables go
+    in blocks of rows, so that the rows a step sweeps and its temporary
+    stay in cache: for each block K of pivot rows, K's own steps run on
+    rows K, each pivot row kept as it stood at its step; then every other
+    block takes the same steps, in k order.  Every step keeps d exactly
+    symmetric (IEEE addition commutes), so a row's d_ik before step k is
+    entry i of the kept row k, and another block updates only its cells
+    right of its first column: the cells left of it mirror cells of
+    earlier rows, copied in before the block's own steps and at the end.
+    So each cell takes the same steps with the operands of the whole-table
+    sweep: the same floats, bit for bit.
     """
     n = len(dm)
-    height = _block_rows(n * dm.itemsize)
+    height = max(1, _BLOCK_BYTES // (n * dm.itemsize or 1))
     starts = range(0, n, height)
     kept = np.empty((height, n), dm.dtype) if height < n else None
     with np.errstate(over="ignore"):

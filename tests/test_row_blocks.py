@@ -1,12 +1,10 @@
-"""The row-blocked kernels of ``spaces``: Floyd-Warshall and the Hamming
-compare give the floats of one sweep over all rows, bit for bit."""
-
-import tracemalloc
+"""The row-blocked Floyd-Warshall of ``spaces`` gives the floats of one
+sweep over all rows, bit for bit."""
 
 import numpy as np
 import pytest
 
-from setmetrics import GraphSpace, HammingSpace, ValidationError
+from setmetrics import GraphSpace, ValidationError
 from setmetrics import spaces
 
 
@@ -40,6 +38,11 @@ def adjacency(n, weights, seed=0):
 WEIGHTS = ("integer", "real", "overflowing", "disconnected")
 
 
+def block_height(n):
+    """Rows per block of an n-vertex table: as many as fit in the budget."""
+    return max(1, spaces._BLOCK_BYTES // (8 * n))
+
+
 def assert_table_is_the_plain_one(dm):
     table = spaces._shortest_paths(dm.copy())
     assert table.tobytes() == plain_floyd_warshall(dm.copy()).tobytes()
@@ -55,7 +58,6 @@ def test_blocked_table_is_the_plain_one_at_every_block_edge(
     n = {"1": 1, "2": 2, "B-1": height - 1, "B": height, "B+1": height + 1,
          "2B+3": 2 * height + 3}[size]
     monkeypatch.setattr(spaces, "_BLOCK_BYTES", height * n * 8)
-    assert spaces._block_rows(n * 8) == height
     assert_table_is_the_plain_one(adjacency(n, weights, seed=n))
 
 
@@ -64,7 +66,7 @@ def test_blocked_table_is_the_plain_one_at_every_block_edge(
                                        (257, 2), (515, 5)])
 def test_blocked_table_is_the_plain_one_under_the_module_budget(
         weights, n, blocks):
-    height = spaces._block_rows(n * 8)
+    height = block_height(n)
     assert -(-n // height) == blocks
     table = assert_table_is_the_plain_one(adjacency(n, weights, seed=n))
     if n > 2:  # the last two inputs reach inf, by overflow or by a cut
@@ -82,14 +84,14 @@ def test_graph_space_table_is_the_plain_one_at_444_vertices():
     np.fill_diagonal(dm, 0.0)
     for u, v, w in graph.edges:
         dm[u, v] = dm[v, u] = min(dm[u, v], w)
-    assert spaces._block_rows(n * 8) < n
+    assert block_height(n) < n
     assert graph._dist.tobytes() == plain_floyd_warshall(dm).tobytes()
     assert np.array_equal(graph._dist, graph._dist.T)
 
 
 def test_graphs_of_several_blocks_are_refused_as_before():
     n = 300
-    assert spaces._block_rows(n * 8) < n
+    assert block_height(n) < n
     path = [(v - 1, v, 1e307) for v in range(1, n)]
     with pytest.raises(ValidationError, match="too wide"):
         GraphSpace(path, n)
@@ -97,49 +99,3 @@ def test_graphs_of_several_blocks_are_refused_as_before():
     halves = [(u, u + 1, 1.0) for u in range(n - 1) if u != n // 2 - 1]
     with pytest.raises(ValidationError, match="not connected"):
         GraphSpace(halves + [(0, 2, 1.0)], n)
-
-
-def plain_hamming(hs, xs, ys):
-    p, q = (np.array([[ord(c) for c in w] for w in words],
-                     dtype=np.uint32).reshape(len(words), hs.length)
-            for words in (xs, ys))
-    return np.einsum("ijk->ij", p[:, None, :] != q[None, :, :], dtype=float)
-
-
-@pytest.mark.parametrize("s, t, length, budget", [
-    (50, 40, 7, 1000),           # 3 rows a block, 17 blocks
-    (31, 9, 5, 3 * 9 * 5),       # exactly 3 rows a block, a short last one
-    (10, 3, 4, 1),               # one row a block
-    (100, 3000, 20, None),       # the module budget: 8 rows a block
-])
-def test_blocked_hamming_is_the_plain_count(monkeypatch, s, t, length, budget):
-    if budget is not None:
-        monkeypatch.setattr(spaces, "_BLOCK_BYTES", budget)
-    hs = HammingSpace("ACGT", length)
-    assert -(-s // spaces._block_rows(t * length)) >= 3
-    rng = np.random.default_rng(s)
-    xs = [hs.sample_element(rng) for _ in range(s)]
-    ys = [hs.sample_element(rng) for _ in range(t)]
-    assert hs.pairwise(xs, ys).tobytes() == plain_hamming(hs, xs, ys).tobytes()
-
-
-@pytest.mark.parametrize("s, t", [(0, 0), (0, 5), (5, 0)])
-def test_hamming_blocks_of_empty_lists_keep_their_shape(s, t):
-    hs = HammingSpace("01", 3)
-    m = hs.pairwise(["010"] * s, ["111"] * t)
-    assert m.shape == (s, t) and m.dtype == np.float64
-
-
-def test_hamming_peak_is_the_result_plus_one_block():
-    s = t = 2000
-    hs = HammingSpace("ACGT", 20)
-    rng = np.random.default_rng(43)
-    xs = [hs.sample_element(rng) for _ in range(s)]
-    ys = [hs.sample_element(rng) for _ in range(t)]
-    tracemalloc.start()
-    try:
-        hs.pairwise(xs, ys)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 8 * s * t + 4 * 2 ** 20
