@@ -22,6 +22,12 @@ read by ``eccentricity``.
 All operations are pure; instances are immutable after construction and
 safe to share across threads.
 
+Hamming words compare as position-major codes: a word list becomes a
+length x n array of alphabet indices, one byte each for up to 256
+symbols (code points for more), so each position's compare runs along a
+whole row.  Mismatches add in the narrowest unsigned integer that holds
+the length; each count is exact, and so is its float.
+
 The graph's Floyd-Warshall runs over blocks of rows sized to a private
 byte budget, so that the rows a step sweeps stay in a core's cache.
 Each cell takes the same operations with the same operands as in one
@@ -165,6 +171,10 @@ class HammingSpace(Space):
         self.length = length
         # str.translate under this table deletes every symbol of the alphabet
         self._deletions = str.maketrans("", "", alphabet)
+        # and under this one maps each symbol to its index, when that fits
+        # a byte (see _codes)
+        self._indices = {ord(c): i for i, c in enumerate(self.alphabet)} \
+            if len(self.alphabet) <= 256 else None
 
     @property
     def diameter(self) -> float:
@@ -195,13 +205,29 @@ class HammingSpace(Space):
             return items
         return super().validate_elements(items)
 
+    def _codes(self, words: Sequence[str]) -> np.ndarray:
+        """The words' symbols as a C-contiguous ``length`` x ``len(words)``
+        array: alphabet indices in one byte for up to 256 symbols, code
+        points otherwise (lone surrogates included)."""
+        text = "".join(words)
+        if self._indices is not None:
+            codes = np.frombuffer(text.translate(self._indices).encode("latin-1"),
+                                  dtype=np.uint8)
+        else:
+            codes = np.frombuffer(text.encode("utf-32-le", "surrogatepass"),
+                                  dtype="<u4")
+        return np.ascontiguousarray(codes.reshape(len(words), self.length).T)
+
     def pairwise(self, xs: Sequence[str], ys: Sequence[str]) -> np.ndarray:
-        # Count mismatched code points; utf-32 keeps any alphabet exact.
-        # Each count is at most the length, so einsum adds it exactly in
-        # float64, in any order.
-        p, q = (np.frombuffer("".join(words).encode("utf-32-le"), dtype="<u4")
-                .reshape(len(words), self.length) for words in (xs, ys))
-        return np.einsum("ijk->ij", p[:, None, :] != q[None, :, :], dtype=float)
+        # One compare per position, each along a whole row of the other
+        # side's codes.  The 0/1 mismatch bytes add into the narrowest
+        # unsigned count that holds the length (no cast up to 255), and
+        # every count is an integer, so its float is exact.  In one
+        # expression, the mismatches are freed before the floats exist.
+        p, q = self._codes(xs), self._codes(ys)
+        return np.add.reduce((p[:, :, None] != q[:, None, :]).view(np.uint8),
+                             axis=0, dtype=np.min_scalar_type(self.length)) \
+            .astype(float)
 
     def eccentricities(self, xs: Sequence[str]) -> np.ndarray:
         # With >= 2 symbols a word differing in every coordinate exists.

@@ -172,6 +172,10 @@ def _read(path: str) -> str:
             return fh.read()
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"cannot read {path}: not UTF-8 text "
+                         f"(byte {exc.object[exc.start]:#04x} at offset "
+                         f"{exc.start})") from exc
 
 
 def load_workspace(path: str) -> Workspace:

@@ -89,6 +89,20 @@ def test_dist_missing_file(capsys):
     assert "cannot read" in err
 
 
+@pytest.mark.parametrize("name, content, argv", [
+    ("latin1.json", b'{"space": "\xff"}', ("matrix",)),
+    ("latin1.txt", b"ACGT\nAC\xffT\n", ("dist", "--text", "set_1", "set_1")),
+], ids=["json", "text"])
+def test_a_file_that_is_not_utf8_is_a_parse_error(tmp_path, capsys, name,
+                                                  content, argv):
+    path = tmp_path / name
+    path.write_bytes(content)
+    code, out, err = run(capsys, argv[0], str(path), *argv[1:])
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot read {path}: not UTF-8 text")
+    assert err.count("\n") == 1
+
+
 def test_dist_malformed_json(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"space": }')
@@ -193,6 +207,21 @@ def test_dist_text_mode_on_single_symbol_words(tmp_path, capsys):
                        "--oracle")
     assert code == 0
     assert json.loads(out)["value"] == 0.0
+
+
+def test_a_lone_surrogate_symbol_is_an_ordinary_symbol(tmp_path, capsys):
+    # JSON's "\ud800" escape reads as a one-symbol str that no UTF codec
+    # encodes strictly.
+    path = tmp_path / "surrogate.json"
+    path.write_text(json.dumps({
+        "space": {"kind": "hamming", "alphabet": "\ud800A", "length": 1},
+        "sets": {"A": ["\ud800"], "B": ["A"]}}))
+    code, out, err = run(capsys, "matrix", str(path))
+    assert (code, err) == (0, "")
+    assert out.splitlines() == [",A,B", "A,0,1", "B,1,0"]
+    code, out, err = run(capsys, "dist", str(path), "A", "B")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["value"] == 1.0
 
 
 def test_dist_text_reports_every_block_whichever_it_names(tmp_path, capsys):

@@ -347,6 +347,12 @@ def test_pairwise_equals_distance_exactly_on_every_kind():
         assert space.pairwise([], []).shape == (0, 0)
 
 
+# 256 symbols, the most that one-byte codes hold, the last of them a lone
+# surrogate; and 300, past that, from a lone surrogate and non-BMP symbols
+SYMBOLS256 = "".join(map(chr, range(0x370, 0x370 + 255))) + "\udfff"
+SYMBOLS300 = "\ud800" + "".join(map(chr, range(0x10000, 0x10000 + 299)))
+
+
 def test_hamming_pairwise_equals_a_literal_count_on_any_alphabet():
     rng = np.random.default_rng(37)
     symbols64 = string.ascii_letters + string.digits + "+/"
@@ -354,7 +360,9 @@ def test_hamming_pairwise_equals_a_literal_count_on_any_alphabet():
     for alphabet, length, s, t in (
             ("01", 5, 12, 12), ("ACGT", 5, 12, 12), ("αβ𝔸", 5, 12, 12),
             (symbols64, 20, 30, 40), ("ACGT", 12, 1, 148), ("ACGT", 12, 8, 148),
-            ("ACGT", 12, 0, 148), ("ACGT", 12, 8, 0)):
+            ("ACGT", 12, 0, 148), ("ACGT", 12, 8, 0),
+            ("A", 7, 4, 5), (SYMBOLS256, 6, 30, 40), (SYMBOLS300, 6, 30, 40),
+            ("ACGT", 255, 6, 7), ("01", 256, 6, 7), (SYMBOLS300, 300, 5, 6)):
         hs = HammingSpace(alphabet, length)
         words = [hs.sample_element(rng) for _ in range(max(s, t))]
         xs, ys = words[:s], words[:t]
@@ -379,6 +387,39 @@ def test_hamming_pairwise_holds_one_mismatch_array_at_a_time():
     finally:
         tracemalloc.stop()
     assert peak <= s * t * hs.length + 8 * s * t + 2 ** 20
+
+
+@pytest.mark.parametrize("length", [255, 256, 300])
+@pytest.mark.parametrize("alphabet", ["AB", SYMBOLS256, SYMBOLS300],
+                         ids=["2 symbols", "256 symbols", "300 symbols"])
+def test_hamming_pairwise_counts_a_mismatch_at_every_position(alphabet, length):
+    # Random draws never differ everywhere; these pairs reach the largest
+    # count, the length, in the narrowest counter that holds it.
+    hs = HammingSpace(alphabet, length)
+    a, b = hs.alphabet[0], hs.alphabet[-1]
+    xs = [a * length, b * length, (a + b) * (length // 2) + a * (length % 2)]
+    ys = [b * length, a * length]
+    m = hs.pairwise(xs, ys)
+    assert m[0, 0] == float(length)
+    assert m.tolist() == [
+        [float(sum(u != v for u, v in zip(x, y))) for y in ys] for x in xs]
+
+
+def test_hamming_pairwise_frees_the_mismatches_before_the_float_result():
+    # s*t*L one-byte mismatches and s*t one-byte counts, then the counts
+    # and the s*t float64 result: never the mismatches beside the floats.
+    s = t = 600
+    hs = HammingSpace("ACGT", 20)
+    rng = np.random.default_rng(43)
+    xs = [hs.sample_element(rng) for _ in range(s)]
+    ys = [hs.sample_element(rng) for _ in range(t)]
+    tracemalloc.start()
+    try:
+        hs.pairwise(xs, ys)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= s * t * hs.length + s * t + 2 ** 20
 
 
 def test_euclidean_pairwise_stays_within_a_few_ulp_of_math_dist():
