@@ -37,9 +37,9 @@ kernel may compute otherwise, records nothing: its matrices are tested.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 

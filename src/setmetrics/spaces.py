@@ -12,19 +12,22 @@ from a point to anywhere in the space):
 Elements are plain values: a word is a ``str``, a point is a tuple of
 floats, a vertex is an ``int``.  Spaces validate and canonicalize
 elements on entry: ``validate_element`` one at a time, or
-``validate_elements`` a whole list, which words and vertices check in a
-few passes over the list, with the same results and errors.  Each space
-writes its metric once, as the numpy kernel ``pairwise`` over canonical
-elements (not validated again); ``distance`` returns its entry for one
-pair, so every path reads the same floats.  Eccentricity follows the
-same pattern: the kernel ``eccentricities`` over canonical elements,
-read by ``eccentricity``.
+``validate_elements`` a whole list, with the same results and errors.
+Words and vertices check a list in a few passes over it: words by one
+join (which refuses anything but a str), a length pass and one
+translate; vertices by a type pass and one lookup each in the vertex
+set.  Each space writes its metric once, as the numpy kernel
+``pairwise`` over canonical elements (not validated again); ``distance``
+returns its entry for one pair, so every path reads the same floats.
+Eccentricity follows the same pattern: the kernel ``eccentricities``
+over canonical elements, read by ``eccentricity``.
 All operations are pure; instances are immutable after construction and
 safe to share across threads.
 
-Hamming words compare as position-major codes: a word list becomes a
-length x n array of alphabet indices, one byte each for up to 256
-symbols (code points for more), so each position's compare runs along a
+Hamming words compare as position-major codes: both word lists of a
+``pairwise`` call become one length x (s + t) array of alphabet indices,
+one byte each for up to 256 symbols (code points for more), and each
+side is a block of its columns, so each position's compare runs along a
 whole row.  Mismatches add in the narrowest unsigned integer that holds
 the length; each count is exact, and so is its float.
 
@@ -39,7 +42,8 @@ from __future__ import annotations
 import itertools
 import math
 import numbers
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from collections.abc import Iterable, Iterator, Sequence
+from typing import Optional, Union
 
 import numpy as np
 
@@ -195,13 +199,17 @@ class HammingSpace(Space):
         return x
 
     def validate_elements(self, items: Iterable) -> list:
-        # Plain words of the right length over the alphabet are their own
-        # canonical form; anything else takes the per-element loop, which
-        # raises its error for the first bad item.
+        # Words of the right length over the alphabet are their own
+        # canonical form.  The join is the type check: it refuses any item
+        # that is not a str.  Anything else takes the per-element loop,
+        # which raises its error for the first bad item.
         items = list(items)
-        if set(map(type, items)) <= {str} \
-                and set(map(len, items)) <= {self.length} \
-                and not "".join(items).translate(self._deletions):
+        try:
+            text = "".join(items)
+        except TypeError:
+            return super().validate_elements(items)
+        if set(map(len, items)) <= {self.length} \
+                and not text.translate(self._deletions):
             return items
         return super().validate_elements(items)
 
@@ -219,15 +227,16 @@ class HammingSpace(Space):
         return np.ascontiguousarray(codes.reshape(len(words), self.length).T)
 
     def pairwise(self, xs: Sequence[str], ys: Sequence[str]) -> np.ndarray:
-        # One compare per position, each along a whole row of the other
-        # side's codes.  The 0/1 mismatch bytes add into the narrowest
+        # Both lists are coded at once: xs are the first s columns, ys the
+        # rest.  One compare per position, each along a whole row of the
+        # other side's codes.  The 0/1 mismatch bytes add into the narrowest
         # unsigned count that holds the length (no cast up to 255), and
         # every count is an integer, so its float is exact.  In one
         # expression, the mismatches are freed before the floats exist.
-        p, q = self._codes(xs), self._codes(ys)
-        return np.add.reduce((p[:, :, None] != q[:, None, :]).view(np.uint8),
-                             axis=0, dtype=np.min_scalar_type(self.length)) \
-            .astype(float)
+        codes, s = self._codes([*xs, *ys]), len(xs)
+        return np.add.reduce(
+            (codes[:, :s, None] != codes[:, None, s:]).view(np.uint8),
+            axis=0, dtype=np.min_scalar_type(self.length)).astype(float)
 
     def eccentricities(self, xs: Sequence[str]) -> np.ndarray:
         # With >= 2 symbols a word differing in every coordinate exists.
@@ -397,6 +406,9 @@ class GraphSpace(Space):
         self._ecc = dm.max(axis=1)
         self._ecc.setflags(write=False)
         self._diameter = float(self._ecc.max())
+        # Made only now, so that a graph refused above allocates nothing
+        # for its vertex count.
+        self._vertices = frozenset(range(n))
 
     @property
     def diameter(self) -> float:
@@ -411,11 +423,12 @@ class GraphSpace(Space):
         return x
 
     def validate_elements(self, items: Iterable) -> list:
-        # Plain ints in range are their own canonical form; bools, numpy
-        # integers and bad items take the per-element loop.
+        # Plain ints in range are their own canonical form: one type pass,
+        # then one lookup each in the vertex set.  The type pass keeps out
+        # bools, floats and numpy integers, which equal vertices as keys;
+        # they and bad items take the per-element loop.
         items = list(items)
-        if set(map(type, items)) <= {int} and (
-                not items or (0 <= min(items) and max(items) < self.vertex_count)):
+        if set(map(type, items)) <= {int} and self._vertices.issuperset(items):
             return items
         return super().validate_elements(items)
 

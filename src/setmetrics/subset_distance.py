@@ -25,8 +25,9 @@ from __future__ import annotations
 
 import itertools
 import warnings
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence, Union
+from typing import Union
 
 import numpy as np
 
@@ -292,8 +293,13 @@ def subset_distance(space: Space, penalty: PenaltyFunction, a: PointSet,
     spread is not finite.
     """
     _check_bound(space, penalty, a, b)
-    common = a.intersection(b)
-    reduced_a, reduced_b = symmetric_difference_reduce(a, b)
+    if a._members.isdisjoint(b._members):
+        # immutable, so each set stands for its own reduced copy
+        reduced_a, reduced_b = a, b
+        common = PointSet._from_canonical(a.space, ())
+    else:
+        common = a.intersection(b)
+        reduced_a, reduced_b = symmetric_difference_reduce(a, b)
     source, target, from_a = orient(reduced_a, reduced_b)
     src, tgt = source.elements, target.elements
     dist, penalties = space.pairwise(src, tgt), penalty.values(tgt)

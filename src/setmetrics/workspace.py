@@ -167,9 +167,11 @@ class _Sets(Mapping):
 
 
 def _read(path: str) -> str:
+    # A leading byte-order mark is dropped after decoding, as "utf-8-sig"
+    # drops it, but the offset of a bad byte still counts the mark.
     try:
         with open(path, encoding="utf-8") as fh:
-            return fh.read()
+            return fh.read().removeprefix("\ufeff")
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc.strerror or exc}") from exc
     except UnicodeDecodeError as exc:

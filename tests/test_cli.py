@@ -89,10 +89,13 @@ def test_dist_missing_file(capsys):
     assert "cannot read" in err
 
 
-@pytest.mark.parametrize("name, content, argv", [
+NOT_UTF8 = [
     ("latin1.json", b'{"space": "\xff"}', ("matrix",)),
     ("latin1.txt", b"ACGT\nAC\xffT\n", ("dist", "--text", "set_1", "set_1")),
-], ids=["json", "text"])
+]
+
+
+@pytest.mark.parametrize("name, content, argv", NOT_UTF8, ids=["json", "text"])
 def test_a_file_that_is_not_utf8_is_a_parse_error(tmp_path, capsys, name,
                                                   content, argv):
     path = tmp_path / name
@@ -101,6 +104,42 @@ def test_a_file_that_is_not_utf8_is_a_parse_error(tmp_path, capsys, name,
     assert (code, out) == (2, "")
     assert err.startswith(f"error: cannot read {path}: not UTF-8 text")
     assert err.count("\n") == 1
+
+
+BOM = b"\xef\xbb\xbf"
+
+
+@pytest.mark.parametrize("name, content, argv", [
+    ("blocks.txt", b"ACGT\nAGGT\n\nACGA\n",
+     ("dist", "--text", "set_1", "set_2")),
+    ("word.txt", b"AC\n", ("dist", "--text", "set_1", "set_1")),
+    ("doc.json", b'{"space": {"kind": "hamming", "alphabet": "AC", '
+                 b'"length": 2}, "sets": {"A": ["AC"], "B": ["CA", "AA"]}}',
+     ("dist", "A", "B")),
+], ids=["text blocks", "text word", "json"])
+def test_a_leading_byte_order_mark_is_ignored(tmp_path, capsys, name, content,
+                                              argv):
+    results = []
+    for folder, prefix in (("plain", b""), ("marked", BOM)):
+        path = tmp_path / folder / name
+        path.parent.mkdir()
+        path.write_bytes(prefix + content)
+        results.append(run(capsys, argv[0], str(path), *argv[1:]))
+    assert results[0][0] == 0
+    assert results[1] == results[0]
+    assert "\ufeff" not in results[1][1]
+
+
+@pytest.mark.parametrize("name, content, argv", NOT_UTF8, ids=["json", "text"])
+@pytest.mark.parametrize("prefix", [b"", BOM], ids=["plain", "marked"])
+def test_a_bad_byte_is_reported_at_its_offset_in_the_file(
+        tmp_path, capsys, name, content, argv, prefix):
+    path = tmp_path / name
+    path.write_bytes(prefix + content)
+    code, _, err = run(capsys, argv[0], str(path), *argv[1:])
+    offset = (prefix + content).index(b"\xff")
+    assert (code, err) == (2, f"error: cannot read {path}: not UTF-8 text "
+                              f"(byte 0xff at offset {offset})\n")
 
 
 def test_dist_malformed_json(tmp_path, capsys):

@@ -531,7 +531,9 @@ BULK_CASES = {
     "hamming": (HammingSpace("ACGT", 4), [
         [], ["ACGT", "TTTT", "ACGT"], {"ACGT", "GGGG"}, [Word("ACGT"), "TTTT"],
         ["ACGT", "ACG"], ["ACGT", "ACGX"], ["ACGT", 5, "TTTT"],
-        ["ACGT", "ACG", "ACGX"], ["ACGX", "ACG"], [b"ACGT"], ["ACGT", None]]),
+        ["ACGT", "ACG", "ACGX"], ["ACGX", "ACG"], [b"ACGT"], ["ACGT", None],
+        [bytearray(b"ACGT")], ["ACGT", list("ACGT")], [Word("ACG")],
+        [Word("ACGX"), "ACGT"]]),
     # symbols outside the Basic Multilingual Plane, one bad symbol last
     "hamming non-BMP": (HammingSpace("\U0001F600\U0001F601\u00e9", 3), [
         ["\U0001F600\u00e9\U0001F601", "\u00e9\u00e9\u00e9"],
@@ -541,7 +543,7 @@ BULK_CASES = {
     "graph": (GraphSpace([(v, v + 1, 1.0) for v in range(4)]), [
         [], [0, 4, 2, 2], {1, 3}, range(5), [True], [0, False],
         [np.int64(1)], [0, np.int64(1)], [-1], [5], [0, 5, -1], [0, "1"],
-        [1.0], [0, None]]),
+        [1.0], [0, None], [0, 10**400], [2, 2.0], [3, 1, -1]]),
     "box": (EuclideanBoxSpace([(0.0, 1.0), (-1.0, 1.0)]), [
         [], [(0.5, -0.0), [0, 0], (0.5, -0.0)], {(1.0, 1.0)},
         [(1.0 + 1e-10, -1.0 - 1e-10)], [(0.5,)], ["ab"], [(0.5, 0.5), (2.0, 0.0)],

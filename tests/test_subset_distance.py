@@ -289,6 +289,34 @@ def test_reduction_by_shared_elements_preserves_value():
                 whole, abs=1e-9)
 
 
+def test_disjoint_sets_are_their_own_reduced_sets():
+    rng = np.random.default_rng(73)
+    for space in space_family(rng):
+        for _ in range(40):
+            pen = random_penalty(space, rng)
+            a = random_point_set(space, rng, max_size=5)
+            b = random_point_set(space, rng, max_size=5).difference(a)
+            result = subset_distance(space, pen, a, b)
+            assert result.reduced_a is a and result.reduced_b is b
+            assert len(result.common) == 0 and result.common.space == space
+            assert result.value == pytest.approx(
+                brute_force_subset_distance(space, pen, a, b).value, abs=1e-9)
+
+
+def test_sets_that_share_elements_reduce_to_their_differences():
+    rng = np.random.default_rng(79)
+    for space in space_family(rng):
+        for _ in range(40):
+            pen = random_penalty(space, rng)
+            a = random_point_set(space, rng, max_size=5, min_size=1)
+            b = PointSet(space, {*random_point_set(space, rng, max_size=4),
+                                 a.elements[0]})
+            result = subset_distance(space, pen, a, b)
+            assert (result.reduced_a, result.reduced_b) \
+                == symmetric_difference_reduce(a, b)
+            assert result.common == a.intersection(b) and len(result.common)
+
+
 def test_growing_the_far_side_never_shrinks_the_distance():
     # monotone only while the kept subset still dominates a in size
     rng = np.random.default_rng(71)
