@@ -24,9 +24,11 @@ order.  On integer costs this is Dial's bucket form of Dijkstra (CACM
 The core, ``_shortest_augmenting_paths``, takes finite entries only, as
 Crouse's solver does, and does not check them.  One rule guards it: no
 matrix reaches it unless its spread max - min is finite.  The entry
-points above, and ``_solve_finite`` for the link distance, test each
-matrix.  The subset distance, of a pair or of a pool's block, tests each
-with ``_solve_finite`` unless its penalty recorded a finite bound: on a
+points above test each matrix.  The link distance tests its reduced
+costs by their least entry: each is <= 0 or NaN, so their spread is
+finite exactly when that entry is (``setmetrics.comparisons``).  The
+subset distance, of a pair or of a pool's block, tests each matrix with
+``_solve_finite`` unless its penalty recorded a finite bound: on a
 built-in space, every entry of a built-in penalty's d - M lies in
 [-max M, diameter], so the spread is at most fl(diameter + max M), which
 the penalty tested once, at construction (``setmetrics.penalties``).
@@ -45,6 +47,19 @@ short ones (8 x 64, 2 x 100 and wider) and break even near 64 x 64.  Both
 forms take the first index at a minimum, follow the same rules and do the
 same float operations in the same order, so they return the same columns
 bit for bit; ``tests/test_solver_twins.py`` holds them to it.
+
+A tree's parents follow one rule.  A relaxation updates a column only
+where it is strictly cheaper, rows in relax order (the start row first),
+so a column's parent is the first row that reached it at its final path
+cost.  The list form records it as it relaxes.  The numpy form relaxes by
+``np.minimum`` and keeps no parents: once the tree ends, and before ``v``
+moves, it finds the parent of each column on the augmenting path only,
+as the first row, in relax order, for which (c[i, j] - v[j]) + lift
+equals the column's cost.  The lift is base - u[i] from when row i was
+relaxed, and 0 for the start row; these are the relaxation's own float
+operations.  The scan may read rows relaxed after the column was
+finalized, but one of those relaxed before it set its cost, so the first
+row that matches is always one of them.
 """
 
 from __future__ import annotations
@@ -250,9 +265,10 @@ def _paths_over_lists(c: np.ndarray) -> tuple:
 
 def _augment(j, start_row, parent_row, row_of_col, col_of_row):
     """Flip the tree path from ``start_row`` to the free column ``j``, for
-    either core form: ``parent_row`` may be a list or an array."""
+    either core form: ``parent_row`` maps each column of the path, in a
+    list or a dict, to its parent row."""
     while True:
-        i = int(parent_row[j])
+        i = parent_row[j]
         row_of_col[j] = i
         j, col_of_row[i] = col_of_row[i], j
         if i == start_row:
@@ -260,7 +276,8 @@ def _augment(j, start_row, parent_row, row_of_col, col_of_row):
 
 
 def _paths_over_arrays(c: np.ndarray) -> tuple:
-    """The core's numpy form, its column scan vectorized over t columns.
+    """The core's numpy form, its column scan vectorized over t columns,
+    with no parent kept per column (module docstring).
 
     Until the first tree, ``v`` is zero, so a row's first relaxation
     ``c[row] - v`` is ``c[row]`` bit for bit: one ``c.argmin(axis=1)``
@@ -290,10 +307,8 @@ def _paths_over_arrays(c: np.ndarray) -> tuple:
 
     # tree scratch, reused across rows
     dist = np.empty(t)          # tentative path costs; +inf once a column is final
-    better = np.empty(t, dtype=bool)
     reach_v = np.empty(t)       # v, and -inf once a column is final: c - v
                                 # is then +inf there, never below dist
-    parent_row = np.empty(t, dtype=np.intp)
 
     for start_row in range(first, s):
         reduced = c[start_row] - v  # the first relaxation: u[start_row] is 0
@@ -317,9 +332,10 @@ def _paths_over_arrays(c: np.ndarray) -> tuple:
             continue
 
         np.copyto(dist, reduced)    # the tree starts from the first relaxation
-        parent_row.fill(start_row)
         np.copyto(reach_v, v)
         final_cols, final_costs = [], []    # in order, the last one free
+        relaxed = [(start_row, 0.0)]        # (row, lift), in relax order
+        cost_of = {}        # final column -> its path cost
         last = np.inf       # path cost of the column finalized last
         while True:
             j = int(dist.argmin())
@@ -334,6 +350,7 @@ def _paths_over_arrays(c: np.ndarray) -> tuple:
                 final_costs.append(base)
                 if row_of_col[j] < 0:
                     break
+                cost_of[j] = base
                 dist[j] = np.inf
                 reach_v[j] = -np.inf
             if row_of_col[j] < 0:
@@ -342,12 +359,26 @@ def _paths_over_arrays(c: np.ndarray) -> tuple:
             # turn, reached at cost base
             for j in level:
                 i = row_of_col[j]
+                lift = base - u[i]
                 np.subtract(c[i], reach_v, out=reduced)
-                reduced += base - u[i]
-                np.less(reduced, dist, out=better)
-                np.copyto(dist, reduced, where=better)
-                np.copyto(parent_row, i, where=better)
+                reduced += lift
+                np.minimum(dist, reduced, out=dist)
+                relaxed.append((i, lift))
             last = base
+
+        # each path column's parent, read before v moves (module docstring)
+        parent_row = {}
+        cost = base
+        while True:
+            vj = v.item(j)
+            for i, lift in relaxed:
+                if (c.item(i, j) - vj) + lift == cost:
+                    break
+            parent_row[j] = i
+            if i == start_row:
+                break
+            j = col_of_row[i]
+            cost = cost_of[j]
 
         # dual update keeps reduced costs nonnegative and tree edges tight
         u[start_row] += base

@@ -26,10 +26,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .assignment import _solve_finite, _total
+from .assignment import _shortest_augmenting_paths, _total
 # Unused here; bound so that perfbench/tracing.py can wrap it by name.
 from .assignment import solve_assignment  # noqa: F401
-from .errors import DomainError, SizeLimitError
+from .errors import DomainError, SizeLimitError, ValidationError
 from .spaces import Space, _take_block
 from .subset_distance import PointSet, _check_in_space, _prepare_pool, orient
 
@@ -114,12 +114,22 @@ def _min_over_surjections(d: np.ndarray, fair: bool) -> float:
 
 
 def _link(d: np.ndarray) -> float:
+    """The link distance of a block of distances: the row and column
+    minima, then the reduced costs min(d - row_cheap - col_cheap, 0),
+    built in place by the same two subtractions in the same order.  Every
+    reduced cost is <= 0 or NaN, so their spread is finite exactly when
+    their least entry is: the one test of the rule in
+    :mod:`setmetrics.assignment`, which refuses a distance that
+    overflowed to inf.  The block is no taller than wide, so it needs no
+    other check of ``solve_injection``'s."""
     row_cheap = d.min(axis=1)
     col_cheap = d.min(axis=0)
-    reduced = np.minimum(d - row_cheap[:, None] - col_cheap[None, :], 0.0)
-    # No taller than wide, so valid without solve_injection's checks;
-    # _solve_finite refuses it if a distance overflowed to inf.
-    cols = _solve_finite(reduced.T)
+    reduced = d - row_cheap[:, None]
+    reduced -= col_cheap
+    np.minimum(reduced, 0.0, out=reduced)
+    if not math.isfinite(float(reduced.min())):
+        raise ValidationError("cost matrix entries must be finite")
+    cols = _shortest_augmenting_paths(reduced.T)
     # a sum past the largest float is inf, for the caller to refuse
     with np.errstate(over="ignore"):
         row_total, col_total = float(row_cheap.sum()), float(col_cheap.sum())
@@ -213,12 +223,13 @@ def pool_comparison_distances(kind: ComparisonKind, space: Space,
     that want the distances of many pairs drawn from one pool.
 
     Before it returns, the pool is numbered, and its one U x U table of
-    ``space.pairwise`` taken, as ``pool_distances`` prepares it.  Each
-    pair runs the kernel of ``kind`` on its block of the table, oriented
-    on ids.  An empty set, or a set too large for the surjections, raises
-    from the first pair that meets it.  Pools whose union has more than
-    ``POOL_TABLE_MAX_ELEMENTS`` elements run ``comparison_distance`` per
-    pair.
+    ``space.pairwise`` taken, as ``pool_distances`` prepares it, and each
+    set's ids made into an intp array.  Each pair runs the kernel of
+    ``kind`` on its block of the table, oriented on ids and gathered with
+    those arrays.  An empty set, or a set too large for the surjections,
+    raises from the first pair that meets it.  Pools whose union has more
+    than ``POOL_TABLE_MAX_ELEMENTS`` elements run ``comparison_distance``
+    per pair.
     """
     kernel = _KERNELS[ComparisonKind(kind)]
     _check_in_space(space, *pool)
@@ -227,13 +238,14 @@ def pool_comparison_distances(kind: ComparisonKind, space: Space,
         def per_pair(i: int, j: int) -> float:
             return comparison_distance(kind, space, pool[i], pool[j])
         return per_pair
+    id_arrays = [np.array(ids, dtype=np.intp) for ids in id_sets]
 
     def distance(i: int, j: int) -> float:
         small, big = id_sets[i], id_sets[j]
         if not (small and big):
             raise DomainError(_EMPTY)
         if (len(small), small) > (len(big), big):
-            small, big = big, small
-        return kernel(_take_block(table, big, small))
+            i, j = j, i
+        return kernel(_take_block(table, id_arrays[j], id_arrays[i]))
 
     return distance

@@ -203,7 +203,7 @@ class TablePenalty(PenaltyFunction):
         table = {}
         for element, value in items:
             key = space.validate_element(element)
-            v = finite_real(value, f"table penalty for {key!r}")
+            v = finite_real(value, "table penalty for {!r}", key)
             if v < 0:
                 raise ValidationError(
                     f"table penalty for {key!r} must be finite and >= 0, got {v}")

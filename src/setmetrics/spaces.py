@@ -60,9 +60,10 @@ REAL_TOL = 1e-9
 _BLOCK_BYTES = 512 * 1024
 
 
-def finite_real(value, what: str) -> float:
+def finite_real(value, what: str, *args) -> float:
     """``value`` as a float if it is a finite real number (numpy scalars
-    included; bools, strings and None are not); ValidationError otherwise."""
+    included; bools, strings and None are not); ValidationError otherwise,
+    naming the value ``what.format(*args)``, formatted only then."""
     # float and int come first: they skip the slower abstract-class check.
     # An int beyond the float range makes isfinite raise OverflowError.
     try:
@@ -72,15 +73,16 @@ def finite_real(value, what: str) -> float:
             return float(value)
     except OverflowError:
         pass
-    raise ValidationError(f"{what} must be a finite number, got {value!r}")
+    raise ValidationError(
+        f"{what.format(*args)} must be a finite number, got {value!r}")
 
 
-def _entries(item, message: str, size: Optional[int] = None) -> tuple:
+def _entries(item, message: str, *args, size: Optional[int] = None) -> tuple:
     """``item`` as a tuple (of ``size`` entries, when given); ValidationError
-    with ``message`` otherwise."""
+    with ``message.format(*args)``, formatted only then, otherwise."""
     if isinstance(item, str) or not isinstance(item, Sequence) \
             or (size is not None and len(item) != size):
-        raise ValidationError(message)
+        raise ValidationError(message.format(*args))
     return tuple(item)
 
 
@@ -271,7 +273,7 @@ class EuclideanBoxSpace(Space):
                 bounds, "box bounds must be a list of [low, high] pairs")):
             what = f"bounds for coordinate {i}"
             lo, hi = (finite_real(v, what) for v in _entries(
-                pair, f"{what} must be a [low, high] pair", 2))
+                pair, f"{what} must be a [low, high] pair", size=2))
             if lo > hi:
                 raise ValidationError(
                     f"bounds for coordinate {i} are inverted: [{lo}, {hi}]")
@@ -298,7 +300,7 @@ class EuclideanBoxSpace(Space):
                 f"point has {len(x)} coordinates, space requires {self.dimension}")
         point = []
         for i, (value, (lo, hi)) in enumerate(zip(x, self.bounds)):
-            v = finite_real(value, f"coordinate {i}")
+            v = finite_real(value, "coordinate {}", i)
             if v < lo - REAL_TOL or v > hi + REAL_TOL:
                 raise ValidationError(
                     f"coordinate {i} = {v} outside bounds [{lo}, {hi}]")
@@ -344,10 +346,11 @@ class GraphSpace(Space):
 
     Vertices are integers 0..n-1.  Edges are undirected with strictly
     positive finite weights; zero-weight edges would collapse distinct
-    vertices to distance 0 and are rejected.  All-pairs distances are
-    precomputed with Floyd-Warshall at construction, and with them each
-    vertex's eccentricity and the diameter.  Above 256 vertices the
-    table is swept in cache-sized blocks of rows (see
+    vertices to distance 0 and are rejected.  The adjacency keeps the
+    cheapest of parallel edges by one ``np.minimum.at``.  All-pairs
+    distances are precomputed with Floyd-Warshall at construction, and
+    with them each vertex's eccentricity and the diameter.  Above 256
+    vertices the table is swept in cache-sized blocks of rows (see
     ``_shortest_paths``); every entry is the float the plain loop gives,
     so the table stays exactly symmetric.
     """
@@ -359,7 +362,8 @@ class GraphSpace(Space):
         cleaned = []
         max_id = -1
         for e in _entries(edges, "graph edges must be a list of [u, v, weight]"):
-            u, v, w = _entries(e, f"edge {e!r} must be [u, v, weight]", 3)
+            u, v, w = _entries(e, "edge {!r} must be [u, v, weight]", e,
+                               size=3)
             if isinstance(u, bool) or isinstance(v, bool) \
                     or not isinstance(u, int) or not isinstance(v, int):
                 raise ValidationError(f"edge {e!r} endpoints must be integers")
@@ -367,7 +371,7 @@ class GraphSpace(Space):
                 raise ValidationError(f"edge {e!r} has a negative vertex id")
             if u == v:
                 raise ValidationError(f"edge {e!r} is a self-loop")
-            w = finite_real(w, f"edge ({u}, {v}) weight")
+            w = finite_real(w, "edge ({}, {}) weight", u, v)
             if w <= 0:
                 raise ValidationError(
                     f"edge ({u}, {v}) weight must be positive and finite, got {w}")
@@ -389,9 +393,10 @@ class GraphSpace(Space):
 
         adjacency = np.full((n, n), np.inf)
         np.fill_diagonal(adjacency, 0.0)
-        for u, v, w in self.edges:
-            if w < adjacency[u, v]:  # parallel edges: keep the cheapest
-                adjacency[u, v] = adjacency[v, u] = w
+        u, v, w = np.array(self.edges, dtype=float).reshape(-1, 3).T
+        u, v = u.astype(np.intp), v.astype(np.intp)
+        np.minimum.at(adjacency, (u, v), w)     # parallel edges: the cheapest
+        adjacency[v, u] = adjacency[u, v]
         dm = _shortest_paths(adjacency.copy())
         if not np.isfinite(dm).all():
             # An inf is a vertex out of reach or a path too long for a
@@ -458,11 +463,13 @@ class GraphSpace(Space):
 
 def _take_block(table: np.ndarray, rows: Sequence[int],
                 cols: Sequence[int]) -> np.ndarray:
-    """The block of ``table`` at the index lists ``rows`` and ``cols``:
-    what np.ix_ indexing gathers, with less overhead.  The lists go in as
-    intp arrays, so that empty ones keep the block's shape."""
-    return (table.take(np.array(rows, dtype=np.intp), axis=0)
-            .take(np.array(cols, dtype=np.intp), axis=1))
+    """The block of ``table`` at the indices ``rows`` and ``cols``, each a
+    list or an intp array: what np.ix_ indexing gathers, with less
+    overhead.  Lists go in as intp arrays, so that empty ones keep the
+    block's shape; intp arrays, as a pool makes once per set, go in as
+    they are."""
+    return (table.take(np.asarray(rows, dtype=np.intp), axis=0)
+            .take(np.asarray(cols, dtype=np.intp), axis=1))
 
 
 def _shortest_paths(dm: np.ndarray) -> np.ndarray:

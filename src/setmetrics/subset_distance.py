@@ -338,8 +338,11 @@ def pool_distances(space: Space, penalty: PenaltyFunction,
     Before it returns, it prepares the pool once: it numbers the union U
     of the pool's elements, takes the U x U table d of ``space.pairwise``,
     reads the penalties M of U and forms the costs C = d - M of every
-    pair.  Pairs are reduced and oriented on lists of ids, and each
-    pair's block of C, the floats of its own d - M, is solved as
+    pair.  Pairs are reduced and oriented on lists of ids.  Each set's ids
+    are also made once into an intp array, with which a pair of sets that
+    share nothing gathers its block; a pair that shares elements gathers
+    with the lists of its reduced sets.  Each pair's block of C, the
+    floats of its own d - M, is solved as
     ``subset_distance`` solves that matrix (see :mod:`setmetrics.assignment`
     for the one rule that refuses a matrix), then re-summed from d and M
     as ``subset_distance`` does.  It runs ``subset_distance`` per pair
@@ -364,15 +367,17 @@ def pool_distances(space: Space, penalty: PenaltyFunction,
              else _solve_finite)
     listed = penalties.tolist()
     members = [frozenset(ids) for ids in id_sets]
+    id_arrays = [np.array(ids, dtype=np.intp) for ids in id_sets]
 
     def distance(i: int, j: int) -> float:
         a, b = id_sets[i], id_sets[j]
+        block_a, block_b = id_arrays[i], id_arrays[j]   # indices to gather
         if not members[i].isdisjoint(members[j]):
-            a = [k for k in a if k not in members[j]]
-            b = [k for k in b if k not in members[i]]
+            block_a = a = [k for k in a if k not in members[j]]
+            block_b = b = [k for k in b if k not in members[i]]
         if (len(a), a) > (len(b), b):
-            a, b = b, a
-        cols = solve(_take_block(costs, a, b)) if a else ()
+            a, b, block_a, block_b = b, a, block_b, block_a
+        cols = solve(_take_block(costs, block_a, block_b)) if a else ()
         return _injection_cost([table.item(x, b[c]) for x, c in zip(a, cols)],
                                [listed[k] for k in b], cols)
 

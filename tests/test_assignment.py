@@ -15,6 +15,7 @@ from setmetrics import (Assignment, ConstantPenalty, DiameterPenalty,
                         brute_force_assignment, link_distance,
                         solve_assignment, subset_distance)
 from setmetrics.assignment import solve_injection
+from setmetrics.comparisons import ComparisonKind, pool_comparison_distances
 from setmetrics.subset_distance import pool_distances
 
 
@@ -285,6 +286,20 @@ def test_non_finite_costs_raise_instead_of_looping():
         subset_distance(line, DiameterPenalty(line), a, b)
     with pytest.raises(ValidationError, match="finite"):
         link_distance(line, a, b)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_a_pool_refuses_non_finite_link_costs_as_link_distance_does():
+    # The line's one pair of far points is too far apart for a float
+    # distance; a pool's link kernel reads it from its table and refuses
+    # it by the same test.
+    line = EuclideanBoxSpace([(-1e308, 1e308)])
+    a, b = PointSet(line, [(-1e308,)]), PointSet(line, [(1e308,), (0.0,)])
+    distance = pool_comparison_distances(ComparisonKind.LINK, line, [a, b])
+    for pair in ((0, 1), (1, 0)):
+        with pytest.raises(ValidationError) as exc:
+            distance(*pair)
+        assert str(exc.value) == "cost matrix entries must be finite"
 
 
 def forced_path_matrix(rng, shape, path, integers):

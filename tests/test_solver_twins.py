@@ -96,6 +96,17 @@ def test_twins_round_alike_on_decimal_fractions():
         assert_twins_agree(rng.integers(0, 31, size=(s, t)) / 10)
 
 
+def test_a_column_reached_twice_at_its_cost_takes_the_first_row():
+    # Row 0 takes column 0 by one edge.  Row 1's tree finalizes column 0 at
+    # cost 1, then reaches column 1 at cost 2 twice: from row 1 itself and
+    # through row 0.  Its parent is the first of the two, row 1, so row 0
+    # keeps column 0.  Through row 0 the columns would be (1, 0), of the
+    # same total.
+    c = np.full((2, WIDTH + 1), 9.0)
+    c[:, :2] = [[0.0, 1.0], [1.0, 2.0]]
+    assert assert_twins_agree(c) == (0, 1)
+
+
 def test_the_cut_over_is_on_width(monkeypatch):
     ran = []
     monkeypatch.setattr(assignment, "_paths_over_lists",

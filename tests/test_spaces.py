@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 from setmetrics import (EuclideanBoxSpace, GraphSpace, HammingSpace,
-                        ParseError, Space, ValidationError, space_from_json)
+                        ParseError, Space, TablePenalty, ValidationError,
+                        space_from_json)
 
 from generators import random_connected_graph, space_family
 
@@ -219,6 +220,11 @@ MALFORMED_EDGE_LISTS = {
                       "edge (0, 1) weight must be a finite number, got '1'"),
     "short edge": ([[0, 1, 1.0], [1, 2]], "edge [1, 2] must be [u, v, weight]"),
     "long edge": ([[0, 1, 1.0, 2]], "edge [0, 1, 1.0, 2] must be [u, v, weight]"),
+    "long tuple edge": ([(0, 1, 1.0), (1, 2, 1.0, 2)],
+                        "edge (1, 2, 1.0, 2) must be [u, v, weight]"),
+    "negative int weight": ([[0, 1, -1], [1, 2, 1.0]],
+                            "edge (0, 1) weight must be positive and finite, "
+                            "got -1.0"),
     "edge is a number": ([[0, 1, 1.0], 5], "edge 5 must be [u, v, weight]"),
     "edge is a string": (["011"], "edge '011' must be [u, v, weight]"),
     "edges are a number": (5, "graph edges must be a list of [u, v, weight]"),
@@ -247,6 +253,66 @@ def test_edge_lists_build_what_edge_tuples_do():
                            (1, 2, 1.5), (1, 2, 4.0), (2, 3, 1.0))
     assert np.array_equal(lists.pairwise(range(4), range(4)),
                           tuples.pairwise(range(4), range(4)))
+
+
+# Edge lists as a document or a caller gives them, each of which builds
+# the edges and the distances that a per-edge adjacency loop and a plain
+# Floyd-Warshall give.
+GOOD_EDGE_LISTS = {
+    "float weights": [[0, 1, 1.5], [1, 2, 0.25], [2, 3, 4.0]],
+    "int weights": [[0, 1, 2], [1, 2, 3], [0, 2, 7]],
+    "tuple edges": [(0, 1, 1.5), (2, 1, 2), (3, 2, 0.5)],
+    "mixed lists and tuples": [[0, 1, 1.0], (1, 2, 2.0), [3, 2, 3]],
+    "parallel edges": [[0, 1, 3.0], [1, 0, 2.5], [0, 1, 2.5], [1, 2, 1],
+                       [2, 1, 0.75], [0, 1, 7]],
+    "int weight past 2**53": [[0, 1, 2 ** 60 + 1], [1, 2, 1.0]],
+    "numpy float weight": [[0, 1, np.float64(1.5)], [1, 2, 1.0]],
+}
+def plain_floyd_warshall(edges, n):
+    """All-pairs distances by a per-edge adjacency loop and one sweep of
+    the whole table per pivot."""
+    d = np.full((n, n), np.inf)
+    np.fill_diagonal(d, 0.0)
+    for u, v, w in edges:
+        if w < d[u, v]:
+            d[u, v] = d[v, u] = w
+    for k in range(n):
+        np.minimum(d, d[:, k, None] + d[None, k], out=d)
+    return d
+
+
+@pytest.mark.parametrize("name", GOOD_EDGE_LISTS)
+def test_good_edge_lists_build_the_per_edge_adjacency(name):
+    edges = GOOD_EDGE_LISTS[name]
+    graph = GraphSpace(edges)
+    assert graph.edges == tuple(sorted(
+        {(min(u, v), max(u, v), float(w)) for u, v, w in edges}))
+    assert graph._dist.tobytes() == plain_floyd_warshall(
+        graph.edges, graph.vertex_count).tobytes()
+
+
+def test_box_and_table_messages_name_the_bad_value_as_before():
+    # Edge messages are pinned in MALFORMED_EDGE_LISTS.
+    box = EuclideanBoxSpace([(0.0, 1.0), (0.0, 1.0)])
+    graph = GraphSpace([(0, 1, 1.0)])
+    cases = [
+        (lambda: box.validate_element((0.5, "x")),
+         "coordinate 1 must be a finite number, got 'x'"),
+        (lambda: EuclideanBoxSpace([(0.0, 1.0), (0.0, None)]),
+         "bounds for coordinate 1 must be a finite number, got None"),
+        (lambda: EuclideanBoxSpace([(0.0, 1.0), (0.0,)]),
+         "bounds for coordinate 1 must be a [low, high] pair"),
+        (lambda: EuclideanBoxSpace(5),
+         "box bounds must be a list of [low, high] pairs"),
+        (lambda: TablePenalty(graph, {0: 1.0, 1: "2"}),
+         "table penalty for 1 must be a finite number, got '2'"),
+        (lambda: TablePenalty(HammingSpace("AC", 2), {"AC": float("inf")}),
+         "table penalty for 'AC' must be a finite number, got inf"),
+    ]
+    for build, message in cases:
+        with pytest.raises(ValidationError) as exc:
+            build()
+        assert str(exc.value) == message
 
 
 def test_graph_with_overflowing_paths_is_too_wide_not_disconnected():
