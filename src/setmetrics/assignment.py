@@ -52,14 +52,16 @@ A tree's parents follow one rule.  A relaxation updates a column only
 where it is strictly cheaper, rows in relax order (the start row first),
 so a column's parent is the first row that reached it at its final path
 cost.  The list form records it as it relaxes.  The numpy form relaxes by
-``np.minimum`` and keeps no parents: once the tree ends, and before ``v``
-moves, it finds the parent of each column on the augmenting path only,
-as the first row, in relax order, for which (c[i, j] - v[j]) + lift
-equals the column's cost.  The lift is base - u[i] from when row i was
-relaxed, and 0 for the start row; these are the relaxation's own float
-operations.  The scan may read rows relaxed after the column was
-finalized, but one of those relaxed before it set its cost, so the first
-row that matches is always one of them.
+``np.minimum`` and keeps no parents: once the tree ends, it updates ``u``
+while the matching is still the tree's, then walks the augmenting path
+once, from the free column back to the start row, flipping each column
+as it finds its parent, and only then moves ``v``.  A column's parent is
+the first row, in relax order, for which (c[i, j] - v[j]) + lift equals
+the column's cost.  The lift is base - u[i] from when row i was relaxed,
+and 0 for the start row, so the new ``u`` does not reach it; these are
+the relaxation's own float operations.  The scan may read rows relaxed
+after the column was finalized, but one of those relaxed before it set
+its cost, so the first row that matches is always one of them.
 """
 
 from __future__ import annotations
@@ -143,9 +145,8 @@ def _solve_finite(cost: np.ndarray) -> tuple:
     """Columns of a minimum injection for an s x t array, 1 <= s <= t, of
     any sign.  Raises ValidationError, with no warning, unless the spread
     of the entries, and so every entry, is finite: the core subtracts
-    entries from one another through its potentials.  For matrices that
-    no bound known in advance keeps finite: the link distance's, and the
-    subset distance's under a penalty that recorded none."""
+    entries from one another through its potentials.  For the subset
+    distance's matrices under a penalty that recorded no bound."""
     if not _finite_spread(cost):
         raise ValidationError("cost matrix entries must be finite")
     return _shortest_augmenting_paths(cost)
@@ -164,20 +165,9 @@ def _total(c: np.ndarray, columns: tuple) -> float:
 def _shortest_augmenting_paths(c: np.ndarray) -> tuple:
     """Core of both solvers, on an s x t float array of finite entries of
     any sign with s <= t, which it does not check.  Returns each row's
-    column.  A row takes its cheapest column of ``c[row] - v`` if it is
-    free, or else a free column tied with it (Crouse's rule), leaving
-    ``v`` as it is; only the other rows reset the tree scratch, grow the
-    tree and update duals.  A tree step whose cheapest path cost equals
-    that of the column finalized last takes the whole level of open
-    columns at that cost, in index order (Jonker and Volgenant's SCAN,
-    Dial's buckets on integer costs): it ends the tree at the level's
-    first free column, or else finalizes them all and relaxes their rows
-    one at a time; any other step finalizes one column and relaxes its
-    row.  Should the arithmetic leave no finite path, it raises
-    ValidationError rather than loop.
-
-    Matrices at most ``LIST_CORE_MAX_COLS`` wide run over Python lists,
-    wider ones over numpy arrays; both give the same columns."""
+    column, by the rules and in the two forms of the module docstring.
+    Should the arithmetic leave no finite path, it raises ValidationError
+    rather than loop."""
     if c.shape[1] <= LIST_CORE_MAX_COLS:
         return _paths_over_lists(c)
     return _paths_over_arrays(c)
@@ -258,21 +248,16 @@ def _paths_over_lists(c: np.ndarray) -> tuple:
                 moved.add(j)
             v[j] += cost - base
 
-        _augment(final_cols[-1], start_row, parent_row, row_of_col, col_of_row)
+        # flip the path from the free column back to the start row
+        j = final_cols[-1]
+        while True:
+            i = parent_row[j]
+            row_of_col[j] = i
+            j, col_of_row[i] = col_of_row[i], j
+            if i == start_row:
+                break
 
     return tuple(col_of_row)
-
-
-def _augment(j, start_row, parent_row, row_of_col, col_of_row):
-    """Flip the tree path from ``start_row`` to the free column ``j``, for
-    either core form: ``parent_row`` maps each column of the path, in a
-    list or a dict, to its parent row."""
-    while True:
-        i = parent_row[j]
-        row_of_col[j] = i
-        j, col_of_row[i] = col_of_row[i], j
-        if i == start_row:
-            return
 
 
 def _paths_over_arrays(c: np.ndarray) -> tuple:
@@ -335,7 +320,6 @@ def _paths_over_arrays(c: np.ndarray) -> tuple:
         np.copyto(reach_v, v)
         final_cols, final_costs = [], []    # in order, the last one free
         relaxed = [(start_row, 0.0)]        # (row, lift), in relax order
-        cost_of = {}        # final column -> its path cost
         last = np.inf       # path cost of the column finalized last
         while True:
             j = int(dist.argmin())
@@ -350,7 +334,6 @@ def _paths_over_arrays(c: np.ndarray) -> tuple:
                 final_costs.append(base)
                 if row_of_col[j] < 0:
                     break
-                cost_of[j] = base
                 dist[j] = np.inf
                 reach_v[j] = -np.inf
             if row_of_col[j] < 0:
@@ -366,27 +349,26 @@ def _paths_over_arrays(c: np.ndarray) -> tuple:
                 relaxed.append((i, lift))
             last = base
 
-        # each path column's parent, read before v moves (module docstring)
-        parent_row = {}
-        cost = base
-        while True:
-            vj = v.item(j)
-            for i, lift in relaxed:
-                if (c.item(i, j) - vj) + lift == cost:
-                    break
-            parent_row[j] = i
-            if i == start_row:
-                break
-            j = col_of_row[i]
-            cost = cost_of[j]
-
-        # dual update keeps reduced costs nonnegative and tree edges tight
+        # dual update keeps reduced costs nonnegative and tree edges tight;
+        # u first, while row_of_col holds the tree's matching
         u[start_row] += base
         for j, cost in zip(final_cols[:-1], final_costs):
             u[row_of_col[j]] += base - cost
+        # one walk from the free column back to the start row, finding
+        # each column's parent before v moves and flipping it (module
+        # docstring)
+        cost_of = dict(zip(final_cols, final_costs))
+        j = final_cols[-1]
+        while True:
+            vj, cost = v.item(j), cost_of[j]
+            for i, lift in relaxed:
+                if (c.item(i, j) - vj) + lift == cost:
+                    break
+            row_of_col[j] = i
+            j, col_of_row[i] = col_of_row[i], j
+            if i == start_row:
+                break
         v[final_cols] += np.subtract(final_costs, base)
-
-        _augment(final_cols[-1], start_row, parent_row, row_of_col, col_of_row)
         blocked[final_cols[-1]] = np.inf
         synced = start_row + 1
 

@@ -222,9 +222,9 @@ def pool_comparison_distances(kind: ComparisonKind, space: Space,
     ``comparison_distance(kind, space, pool[i], pool[j])``, for callers
     that want the distances of many pairs drawn from one pool.
 
-    Before it returns, the pool is numbered, and its one U x U table of
-    ``space.pairwise`` taken, as ``pool_distances`` prepares it, and each
-    set's ids made into an intp array.  Each pair runs the kernel of
+    Before it returns, the pool is numbered, each set's ids made into an
+    intp array and its one U x U table of ``space.pairwise`` taken, as
+    ``pool_distances`` prepares it.  Each pair runs the kernel of
     ``kind`` on its block of the table, oriented on ids and gathered with
     those arrays.  An empty set, or a set too large for the surjections,
     raises from the first pair that meets it.  Pools whose union has more
@@ -233,12 +233,11 @@ def pool_comparison_distances(kind: ComparisonKind, space: Space,
     """
     kernel = _KERNELS[ComparisonKind(kind)]
     _check_in_space(space, *pool)
-    _, id_sets, table = _prepare_pool(space, pool)
+    _, id_sets, id_arrays, table = _prepare_pool(space, pool)
     if table is None:
         def per_pair(i: int, j: int) -> float:
             return comparison_distance(kind, space, pool[i], pool[j])
         return per_pair
-    id_arrays = [np.array(ids, dtype=np.intp) for ids in id_sets]
 
     def distance(i: int, j: int) -> float:
         small, big = id_sets[i], id_sets[j]

@@ -391,17 +391,19 @@ class GraphSpace(Space):
         if n > len({(u, v) for u, v, _ in self.edges}) + 1:
             raise ValidationError(_NOT_CONNECTED)
 
-        adjacency = np.full((n, n), np.inf)
-        np.fill_diagonal(adjacency, 0.0)
+        dm = np.full((n, n), np.inf)
+        np.fill_diagonal(dm, 0.0)
         u, v, w = np.array(self.edges, dtype=float).reshape(-1, 3).T
         u, v = u.astype(np.intp), v.astype(np.intp)
-        np.minimum.at(adjacency, (u, v), w)     # parallel edges: the cheapest
-        adjacency[v, u] = adjacency[u, v]
-        dm = _shortest_paths(adjacency.copy())
+        np.minimum.at(dm, (u, v), w)    # parallel edges: the cheapest
+        dm[v, u] = dm[u, v]
+        _shortest_paths(dm)
         if not np.isfinite(dm).all():
             # An inf is a vertex out of reach or a path too long for a
-            # float; with every edge weighing 0 nothing overflows.
-            reach = np.where(adjacency < np.inf, 0.0, np.inf)
+            # float; with every edge weighing 0 nothing overflows.  Each
+            # edge's entry stays finite, no larger than its weight, so
+            # the swept table has the graph's components.
+            reach = np.where(dm < np.inf, 0.0, np.inf)
             if np.isfinite(_shortest_paths(reach)).all():
                 raise ValidationError(
                     "graph is too wide: its shortest-path distances overflow")

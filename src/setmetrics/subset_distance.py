@@ -36,7 +36,7 @@ from .assignment import _shortest_augmenting_paths, _solve_finite
 from .assignment import solve_assignment  # noqa: F401
 from .errors import SizeLimitError, ValidationError
 from .penalties import ConstantPenalty, PenaltyFunction
-from .spaces import Element, HammingSpace, Space, _take_block, element_to_json
+from .spaces import HammingSpace, Space, _take_block, element_to_json
 
 #: Largest set size accepted by the injection enumerator (7!/1! injections).
 BRUTE_FORCE_MAX_SET = 7
@@ -316,16 +316,18 @@ def subset_distance(space: Space, penalty: PenaltyFunction, a: PointSet,
 
 
 def _prepare_pool(space: Space, pool: Sequence[PointSet]):
-    """``(union, id_sets, table)``: the union U of the pool's elements in
-    sorted order; each set as the ids, indices into U, of its elements, so
-    that lists of ids compare as the sets' elements do; and the U x U
-    table of ``space.pairwise``.  The ids and the table are None when U
-    has more than ``POOL_TABLE_MAX_ELEMENTS`` elements."""
+    """``(union, id_sets, id_arrays, table)``: the union U of the pool's
+    elements in sorted order; each set as the ids, indices into U, of its
+    elements, so that lists of ids compare as the sets' elements do; the
+    same ids as an intp array per set, to gather blocks with; and the
+    U x U table of ``space.pairwise``.  All but U are None when U has more
+    than ``POOL_TABLE_MAX_ELEMENTS`` elements."""
     union = sorted(set().union(*pool))
     if len(union) > POOL_TABLE_MAX_ELEMENTS:
-        return union, None, None
+        return union, None, None, None
     ids = {x: k for k, x in enumerate(union)}
-    return (union, [[ids[x] for x in ps] for ps in pool],
+    id_sets = [[ids[x] for x in ps] for ps in pool]
+    return (union, id_sets, [np.array(a, dtype=np.intp) for a in id_sets],
             space.pairwise(union, union))
 
 
@@ -338,11 +340,10 @@ def pool_distances(space: Space, penalty: PenaltyFunction,
     Before it returns, it prepares the pool once: it numbers the union U
     of the pool's elements, takes the U x U table d of ``space.pairwise``,
     reads the penalties M of U and forms the costs C = d - M of every
-    pair.  Pairs are reduced and oriented on lists of ids.  Each set's ids
-    are also made once into an intp array, with which a pair of sets that
-    share nothing gathers its block; a pair that shares elements gathers
-    with the lists of its reduced sets.  Each pair's block of C, the
-    floats of its own d - M, is solved as
+    pair.  Pairs are reduced and oriented on lists of ids.  A pair of sets
+    that share nothing gathers its block with the sets' intp id arrays; a
+    pair that shares elements gathers with the lists of its reduced sets.
+    Each pair's block of C, the floats of its own d - M, is solved as
     ``subset_distance`` solves that matrix (see :mod:`setmetrics.assignment`
     for the one rule that refuses a matrix), then re-summed from d and M
     as ``subset_distance`` does.  It runs ``subset_distance`` per pair
@@ -355,7 +356,7 @@ def pool_distances(space: Space, penalty: PenaltyFunction,
     def per_pair(i: int, j: int) -> float:
         return subset_distance(space, penalty, pool[i], pool[j]).value
 
-    union, id_sets, table = _prepare_pool(space, pool)
+    union, id_sets, id_arrays, table = _prepare_pool(space, pool)
     if table is None:
         return per_pair
     try:
@@ -367,7 +368,6 @@ def pool_distances(space: Space, penalty: PenaltyFunction,
              else _solve_finite)
     listed = penalties.tolist()
     members = [frozenset(ids) for ids in id_sets]
-    id_arrays = [np.array(ids, dtype=np.intp) for ids in id_sets]
 
     def distance(i: int, j: int) -> float:
         a, b = id_sets[i], id_sets[j]

@@ -40,8 +40,8 @@ from .penalties import (ConstantPenalty, DiameterPenalty, PenaltyFunction,
                         TablePenalty, penalty_from_json)
 # Certification checks a table's own domain, which is canonical, so it
 # takes the admissibility check that validates no element again.  It is
-# bound to the name this module has always called it by, which the tests
-# and the benchmark tracer hook to count certifications.
+# bound to this name because the tests and the benchmark tracer hook it
+# here to count certifications.
 from .penalties import _admissibility_report as validate_penalty
 from .spaces import HammingSpace, Space, _require_keys, space_from_json
 from .subset_distance import PointSet, _dropped

@@ -1,7 +1,12 @@
 """Assignment and injection solvers against brute force and scipy."""
 
 import itertools
+import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -638,3 +643,30 @@ def test_complex_arrays_are_refused_not_solved_on_their_real_parts(solve,
     # solve what is left; a list of Python complex numbers is refused too.
     with pytest.raises(ValidationError, match="complex"):
         solve(matrix)
+
+
+WALK_SCRIPT = """
+import json
+import numpy as np
+from setmetrics.assignment import _paths_over_arrays
+rng = np.random.default_rng(17)
+mats = [rng.integers(0, k, size=(n, t)).astype(float)
+        for k, n, t in ((50, 40, 40), (5, 60, 60), (1000, 30, 90))]
+print(json.dumps([[m.tolist(), list(_paths_over_arrays(m))] for m in mats]))
+"""
+
+
+def test_numpy_core_walk_ends_at_the_start_row_with_an_optimum():
+    # Run in a child with a time limit: a walk that read a parent after v
+    # moved would match no row, and circle between two columns for ever
+    # instead of failing.
+    env = {**os.environ,
+           "PYTHONPATH": str(Path(setmetrics.assignment.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", WALK_SCRIPT], env=env,
+                          capture_output=True, text=True, check=True,
+                          timeout=60)
+    for cost, cols in json.loads(done.stdout):
+        c = np.array(cost)
+        total = float(c[np.arange(len(cols)), cols].sum())
+        assert_is_injection(c, cols, total)
+        assert total == scipy_injection_total(c)

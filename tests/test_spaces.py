@@ -488,6 +488,23 @@ def test_hamming_pairwise_frees_the_mismatches_before_the_float_result():
     assert peak <= s * t * hs.length + s * t + 2 ** 20
 
 
+def test_graph_holds_one_distance_table_while_it_builds():
+    # The n x n float64 table is swept in place: 8*n*n bytes, plus the
+    # sweep's kept pivot rows and temporaries and an n x n bool isfinite
+    # check, reach about 1.44 tables at 600 vertices.  A second table, an
+    # adjacency kept beside the swept copy, would make it about 2.44.
+    n = 600
+    edges = [[v - 1, v, 1.0 + v % 7] for v in range(1, n)]
+    edges += [[v, (7 * v + 3) % n, 2.5] for v in range(0, n, 5)]
+    tracemalloc.start()
+    try:
+        GraphSpace(edges, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.75 * 8 * n * n
+
+
 def test_euclidean_pairwise_stays_within_a_few_ulp_of_math_dist():
     rng = np.random.default_rng(31)
     for dimension in (1, 3, 9, 20):
